@@ -316,7 +316,12 @@ def _mono_div(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 
 class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with Fraction coefficients.
+
+    A product accumulates its kernel-reduced term products into one dict, so
+    it costs one pass over the |a|*|b| term pairs; :meth:`divexact` by a
+    monomial is termwise.
+    """
 
     __slots__ = ("terms",)
 
@@ -382,17 +387,15 @@ class MPoly:
         return MPoly(out)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        out = MPoly()
-        if len(self.terms) > len(other.terms):
-            a, bp = other, self
-        else:
-            a, bp = self, other
-        for m1, c1 in a.terms.items():
-            for m2, c2 in bp.terms.items():
-                m = _mono_mul(m1, m2)
-                reduced = _reduce_kernels(m, c1 * c2)
-                out = out + reduced
-        return out
+        out: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                for m, c in _reduce_kernels(_mono_mul(m1, m2), c1 * c2).terms.items():
+                    if m in out:
+                        out[m] += c
+                    else:
+                        out[m] = c
+        return MPoly({m: c for m, c in out.items() if c != 0})
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -414,23 +417,35 @@ class MPoly:
         """Positive rational content; sign carried by the leading coefficient."""
         if self.is_zero:
             return Fraction(1)
-        from math import gcd
-
         num = 0
         den = 1
         for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
+            num = math.gcd(num, abs(c.numerator))
+            den = den * c.denominator // math.gcd(den, c.denominator)
         return Fraction(num, den)
 
     def divexact(self, g: "MPoly") -> "MPoly | None":
-        """Exact quotient self/g, or None when g does not divide self."""
+        """Exact quotient self/g, or None when g does not divide self.
+
+        A one-term divisor divides termwise, in time linear in ``self``; any
+        other divisor runs polynomial long division on the leading terms.
+        """
         if g.is_zero:
             raise AlgebraError("division by zero polynomial")
         if self.is_zero:
             return MPoly()
+        if len(g.terms) == 1:
+            (gm, gc), = g.terms.items()
+            inv = 1 / gc
+            q: dict[Monomial, Fraction] = {}
+            for m, c in self.terms.items():
+                mq = _mono_div(m, gm)
+                if mq is None:
+                    return None
+                q[mq] = c * inv
+            return MPoly(q)
         gm, gc = g.leading()
-        q: dict[Monomial, Fraction] = {}
+        q = {}
         r = self.copy()
         while not r.is_zero:
             rm, rc = r.leading()
@@ -630,10 +645,7 @@ class NormalForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalForm):
             return NotImplemented
-        diff = self - other
-        if not diff.is_zero:
-            return False
-        return True
+        return (self - other).is_zero
 
     def __hash__(self):
         c = self.canonical()

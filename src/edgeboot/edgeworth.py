@@ -284,13 +284,6 @@ class _Ring:
             self.kernels.register(v)
         return pow_(v, Fraction(3, 2), self.kernels)
 
-    def divide(self, a, b):
-        if self.kind == "float":
-            return a / b
-        if self.kind == "nf":
-            return a / b
-        return a / b
-
 
 def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
     """Choose the value ring and build converted derivative lookups."""
@@ -732,7 +725,7 @@ def accel_constant(model: StatModel, spec: MomentSpec | None = None) -> AccelRes
     if ring.kind == "float" and (not math.isfinite(S2) or S2 <= 0):
         raise ModelError("zero asymptotic variance in acceleration constant")
     sigma3 = ring.sqrt32(S2)
-    a_over = ring.divide(A, Fraction(6) * sigma3)
+    a_over = A / (Fraction(6) * sigma3)
     return AccelResult(
         A_value=ring.finish(A),
         sigma3=ring.finish(sigma3),

@@ -291,14 +291,27 @@ def spec_from_config(section: Mapping[str, str], required_K: int) -> MomentSpec:
 
 
 def _read_column(path: str) -> list[float]:
+    """Finite values of the first CSV column.
+
+    Only line 1 may be a non-numeric header and blank lines are skipped;
+    any other row that is not a finite number raises :class:`MomentError`
+    with its 1-based line number.
+    """
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tok = line.strip().split(",")[0]
-            if not tok:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
+            tok = line.split(",")[0].strip()
             try:
-                values.append(float(tok))
+                v = float(tok)
             except ValueError:
-                continue  # header line
+                if lineno == 1:
+                    continue  # header
+                raise MomentError(f"{path}:{lineno}: not a number: {tok!r}") from None
+            if not math.isfinite(v):
+                raise MomentError(f"{path}:{lineno}: not a finite number: {tok!r}")
+            values.append(v)
+    if not values:
+        raise MomentError(f"{path}: no values")
     return values

@@ -134,6 +134,15 @@ class TestBca:
                          "--B", "99", "--seed", "5", "--format", "json")
         assert out1 == out2
 
+    def test_bad_row_fails_with_its_line(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1.2\n0.7\nabc\n2.2\n")
+        code, out, err = run(capsys, "bca", "--data", str(data), "--stat", "mean",
+                             "--B", "99", "--seed", "5")
+        assert code == 1
+        assert out == ""
+        assert f"{data}:4: not a number: 'abc'" in err
+
 
 class TestExport:
     def test_mean_export_contains_gamma1_line(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ from edgeboot.algebra import normalize, substitute
 from edgeboot.expr import Sym, ZERO, parse
 from edgeboot.moments import (
     DegenerateSampleError,
+    MomentError,
     MomentOrderError,
     MomentTable,
     cross_moment,
@@ -17,6 +18,7 @@ from edgeboot.moments import (
     raw_moment,
     spec_from_config,
     symbolic_spec,
+    _read_column,
 )
 
 
@@ -172,6 +174,50 @@ class TestConfig:
         s = spec_from_config({"distribution": "empirical", "data_file": str(f)}, 4)
         assert abs(s.mean - 2.0) < 1e-15
 
+    def test_empirical_section_needs_values(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("value\n")
+        with pytest.raises(MomentError, match="no values"):
+            spec_from_config({"distribution": "empirical", "data_file": str(f)}, 4)
+
     def test_unknown_distribution(self):
         with pytest.raises(Exception, match="unknown distribution"):
             spec_from_config({"distribution": "cauchy"}, 4)
+
+
+class TestReadColumn:
+    def _read(self, tmp_path, text):
+        f = tmp_path / "data.csv"
+        f.write_text(text, encoding="utf-8")
+        return _read_column(str(f))
+
+    def test_header_blank_lines_and_extra_columns(self, tmp_path):
+        values = self._read(tmp_path, "value,weight\n1.5,2\n\n-2e-1\n3\n")
+        assert values == [1.5, -0.2, 3.0]
+
+    @pytest.mark.parametrize("text", ["4\n5\n", "\ufeff4\n5\n"])
+    def test_no_header(self, tmp_path, text):
+        values = self._read(tmp_path, text)
+        assert values == [4.0, 5.0]
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("value\n1\nabc\n2\n", 3, "not a number: 'abc'"),
+        ("1\nvalue\n2\n", 2, "not a number: 'value'"),
+        ("value\n1\n,2\n", 3, "not a number: ''"),
+        ("value\n1\nnan\n", 3, "not a finite number: 'nan'"),
+        ("value\ninf\n1\n", 2, "not a finite number: 'inf'"),
+        ("-inf\n1\n", 1, "not a finite number: '-inf'"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, text, line, what):
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        with pytest.raises(MomentError) as exc:
+            _read_column(str(f))
+        assert str(exc.value) == f"{f}:{line}: {what}"
+
+    @pytest.mark.parametrize("text", ["", "value\n", "\n\n"])
+    def test_no_values(self, tmp_path, text):
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        with pytest.raises(MomentError, match=f"^{f}: no values$"):
+            _read_column(str(f))
