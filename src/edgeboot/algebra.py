@@ -291,6 +291,13 @@ def _mono_key(m: Monomial):
     return (sum(e for _, e in m), m)
 
 
+def _grlex_key(m: Monomial):
+    # a true monomial order (graded, then lex from the largest generator),
+    # which long division needs; _mono_key is not one (x2 > x1 but
+    # x1*x1 > x1*x2) and stays for monic scaling and print order
+    return (sum(e for _, e in m), tuple(reversed(m)))
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -428,7 +435,8 @@ class MPoly:
         """Exact quotient self/g, or None when g does not divide self.
 
         A one-term divisor divides termwise, in time linear in ``self``; any
-        other divisor runs polynomial long division on the leading terms.
+        other divisor runs polynomial long division on the leading terms
+        under a graded order, with kernels treated as plain generators.
         """
         if g.is_zero:
             raise AlgebraError("division by zero polynomial")
@@ -444,11 +452,13 @@ class MPoly:
                     return None
                 q[mq] = c * inv
             return MPoly(q)
-        gm, gc = g.leading()
+        gm = max(g.terms, key=_grlex_key)
+        gc = g.terms[gm]
         q = {}
         r = self.copy()
         while not r.is_zero:
-            rm, rc = r.leading()
+            rm = max(r.terms, key=_grlex_key)
+            rc = r.terms[rm]
             mq = _mono_div(rm, gm)
             if mq is None:
                 return None

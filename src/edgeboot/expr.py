@@ -16,6 +16,7 @@ definitions such as ``sqrt(x2 - x1^2)``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -277,8 +278,6 @@ def _split_square(m: int) -> tuple[int, int]:
     square, so huge literals (e.g. exact binary fractions of doubles) stay
     under the radical instead of triggering unbounded factorization.
     """
-    import math as _math
-
     a, b = 1, 1
     d = 2
     while d * d <= m and d <= 10_000:
@@ -289,7 +288,7 @@ def _split_square(m: int) -> tuple[int, int]:
             b *= d
             m //= d
         d += 1
-    root = _math.isqrt(m)
+    root = math.isqrt(m)
     if root * root == m:
         return a * root, b
     return a, b * m
@@ -432,43 +431,63 @@ def free_symbols(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+_TOKEN_KINDS = (None, "decimal", "num", "ident", "op")  # by _TOKEN_RE group
+_PAREN_RE = re.compile(r"[()]")
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
 class _Tokens:
+    """Token cursor over one ``parse`` call's text, read on demand.
+
+    ``close`` maps the position of each ``(`` to that of its matching ``)``
+    (one scan up front), so that :meth:`skip_to` can step over a group whose
+    text is already in ``groups``, the call's memo of parsed groups keyed
+    by their exact source text, without tokenizing it again.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip() == "":
-                    break
-                raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-            if m.group(1):
-                raise ParseError(
-                    f"decimal literal {m.group(1)!r} at position {m.start(1)}: "
-                    "constants must be exact rationals"
-                )
-            if m.group(2):
-                self.tokens.append(("num", m.group(2), m.start(2)))
-            elif m.group(3):
-                self.tokens.append(("ident", m.group(3), m.start(3)))
-            else:
-                self.tokens.append(("op", m.group(4), m.start(4)))
-            pos = m.end()
-        self.i = 0
+        self.close: dict[int, int] = {}
+        opened: list[int] = []
+        for m in _PAREN_RE.finditer(text):
+            i = m.start()
+            if text[i] == "(":
+                opened.append(i)
+            elif opened:
+                self.close[opened.pop()] = i
+        self.groups: dict[str, Expr] = {}
+        self.pos = 0  # where the token after the current one starts
+        self.tok: tuple[str, str, int] | None = None
 
     def peek(self) -> tuple[str, str, int]:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", len(self.text))
+        if self.tok is None:
+            self.tok = self._read()
+        return self.tok
+
+    def _read(self) -> tuple[str, str, int]:
+        text, pos = self.text, self.pos
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                return ("eof", "", len(text))
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        self.pos = m.end()
+        k = m.lastindex
+        if k == 1:
+            raise ParseError(
+                f"decimal literal {m.group(1)!r} at position {m.start(1)}: "
+                "constants must be exact rationals"
+            )
+        return (_TOKEN_KINDS[k], m.group(k), m.start(k))
 
     def next(self) -> tuple[str, str, int]:
         tok = self.peek()
-        self.i += 1
+        self.tok = None
         return tok
+
+    def skip_to(self, pos: int) -> None:
+        self.pos = pos
+        self.tok = None
 
     def expect_op(self, op: str) -> None:
         kind, value, pos = self.next()
@@ -482,6 +501,11 @@ def parse(text: str, kernels: KernelRegistry | None = None) -> Expr:
     Raises :class:`ParseError` with position info on bad syntax, and
     :class:`PositivityError` when ``sqrt`` is applied to an expression that
     is not a registered positive kernel.
+
+    Each distinct parenthesised group or function call (``(...)``,
+    ``sqrt(...)``, ``exp(...)``, ...) is parsed once per call: a repeat of the
+    same source text returns the same object without being read again.  The
+    cost is the text's distinct groups plus the length of the text.
     """
     toks = _Tokens(text)
     e = _parse_expr(toks, kernels)
@@ -565,24 +589,14 @@ def _parse_atom(toks: _Tokens, kernels) -> Expr:
     if kind == "num":
         return Const(Fraction(int(value)))
     if kind == "op" and value == "(":
-        e = _parse_expr(toks, kernels)
-        toks.expect_op(")")
-        return e
+        return _parse_group(toks, kernels, pos, pos, None)
     if kind == "ident":
-        nkind, nvalue, _ = toks.peek()
+        nkind, nvalue, npos = toks.peek()
         if nkind == "op" and nvalue == "(":
             if value not in _FUNCTIONS:
                 raise ParseError(f"unknown identifier {value!r} at position {pos}")
             toks.next()
-            arg = _parse_expr(toks, kernels)
-            toks.expect_op(")")
-            if value == "exp":
-                return Exp(arg)
-            if value == "sqrt":
-                return sqrt(arg, kernels)
-            if value == "Phi":
-                return NormCdf(arg)
-            return NormPdf(arg)
+            return _parse_group(toks, kernels, pos, npos, value)
         m = _VAR_RE.match(value)
         if m:
             idx = int(m.group(1))
@@ -593,13 +607,45 @@ def _parse_atom(toks: _Tokens, kernels) -> Expr:
     raise ParseError(f"unexpected token {value or kind!r} at position {pos}")
 
 
+def _parse_group(toks: _Tokens, kernels, start: int, opened: int, func: str | None) -> Expr:
+    """The group whose ``(`` at ``opened`` was just read; ``start`` is where
+    its source text begins (at ``func``'s name for a function call)."""
+    close = toks.close.get(opened)
+    key = toks.text[start:close + 1] if close is not None else None
+    e = toks.groups.get(key)
+    if e is not None:
+        toks.skip_to(close + 1)
+        return e
+    arg = _parse_expr(toks, kernels)
+    toks.expect_op(")")
+    if func is None:
+        e = arg
+    elif func == "exp":
+        e = Exp(arg)
+    elif func == "sqrt":
+        e = sqrt(arg, kernels)
+    elif func == "Phi":
+        e = NormCdf(arg)
+    else:
+        e = NormPdf(arg)
+    if key is not None:
+        toks.groups[key] = e
+    return e
+
+
 # ---------------------------------------------------------------------------
 # Pretty printer.  Deterministic; parse(pretty_print(e)) is structurally
 # equal to e for canonical ASTs.
 # ---------------------------------------------------------------------------
 
 def pretty_print(e: Expr) -> str:
-    return _print(e, 0)
+    """Render ``e`` in the syntax :func:`parse` reads.
+
+    Each distinct node is rendered once per (precedence, sign) context it
+    occurs in, memoised by ``id`` for the call, so a DAG that shares
+    subexpressions costs its distinct nodes plus the length of the output.
+    """
+    return _Printer().show(e, 0)
 
 
 def _is_negative_leading(e: Expr) -> bool:
@@ -610,80 +656,86 @@ def _is_negative_leading(e: Expr) -> bool:
     return False
 
 
-def _negated(e: Expr) -> Expr:
-    return neg(e)
+class _Printer:
+    """One ``pretty_print`` call; strings keyed by ``(id(node), prec, negated)``."""
 
+    def __init__(self):
+        self.memo: dict[tuple[int, int, bool], str] = {}
 
-def _print(e: Expr, prec: int) -> str:
-    # precedence: 0 sum, 1 product, 2 power, 3 atom
-    if isinstance(e, Const):
-        v = e.value
-        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        if (v < 0 or v.denominator != 1) and prec >= 1:
-            return f"({s})" if prec >= 2 or v < 0 else s
+    def show(self, e: Expr, prec: int, negated: bool = False) -> str:
+        key = (id(e), prec, negated)
+        s = self.memo.get(key)
+        if s is None:
+            s = self.memo[key] = self._render(e, prec, negated)
         return s
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Exp):
-        return f"exp({_print(e.arg, 0)})"
-    if isinstance(e, NormCdf):
-        return f"Phi({_print(e.arg, 0)})"
-    if isinstance(e, NormPdf):
-        return f"phi({_print(e.arg, 0)})"
-    if isinstance(e, Add):
-        first = e.terms[0]
-        if _is_negative_leading(first):
-            parts = ["-" + _print(_negated(first), 1)]
-        else:
-            parts = [_print(first, 1)]
-        for t in e.terms[1:]:
-            if _is_negative_leading(t):
-                parts.append(" - " + _print(_negated(t), 1))
+
+    def _render(self, e: Expr, prec: int, negated: bool) -> str:
+        # precedence: 0 sum, 1 product, 2 power, 3 atom.  ``negated`` prints
+        # -e; sums ask for it on their negative-leading terms only.
+        if isinstance(e, Const):
+            v = -e.value if negated else e.value
+            s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            if (v < 0 or v.denominator != 1) and prec >= 1:
+                return f"({s})" if prec >= 2 or v < 0 else s
+            return s
+        if isinstance(e, Sym):
+            return e.name
+        if isinstance(e, Var):
+            return f"x{e.index}"
+        if isinstance(e, Exp):
+            return f"exp({self.show(e.arg, 0)})"
+        if isinstance(e, NormCdf):
+            return f"Phi({self.show(e.arg, 0)})"
+        if isinstance(e, NormPdf):
+            return f"phi({self.show(e.arg, 0)})"
+        if isinstance(e, Add):
+            parts = []
+            for i, t in enumerate(e.terms):
+                if _is_negative_leading(t):
+                    parts.append((" - " if i else "-") + self.show(t, 1, True))
+                else:
+                    parts.append((" + " if i else "") + self.show(t, 1))
+            s = "".join(parts)
+            return f"({s})" if prec >= 1 else s
+        if isinstance(e, (Mul, Pow)):
+            s = self._product(e, negated)
+            if prec >= 2 or (prec >= 1 and s.startswith("-")):
+                return f"({s})"
+            return s
+        raise ExprError(f"unprintable node {e!r}")
+
+    def _product(self, e: Expr, negated: bool) -> str:
+        factors = e.factors if isinstance(e, Mul) else (e,)
+        coeff = Fraction(-1 if negated else 1)
+        num_parts: list[str] = []
+        den_parts: list[str] = []
+        for f in factors:
+            if isinstance(f, Const):
+                coeff *= f.value
+            elif isinstance(f, Pow) and f.exponent < 0:
+                den_parts.append(self._power(f.base, -f.exponent))
+            elif isinstance(f, Pow):
+                num_parts.append(self._power(f.base, f.exponent))
             else:
-                parts.append(" + " + _print(t, 1))
-        s = "".join(parts)
-        return f"({s})" if prec >= 1 else s
-    if isinstance(e, (Mul, Pow)):
-        s = _print_product(e)
-        if prec >= 2 or (prec >= 1 and s.startswith("-")):
-            return f"({s})"
+                num_parts.append(self.show(f, 1))
+        sign = "-" if coeff < 0 else ""
+        coeff = abs(coeff)
+        if coeff.numerator != 1 or not num_parts:
+            num_parts.insert(0, str(coeff.numerator))
+        if coeff.denominator != 1:
+            den_parts.insert(0, str(coeff.denominator))
+        s = sign + "*".join(num_parts)
+        if den_parts:
+            s += "/" + "/".join(den_parts)
         return s
-    raise ExprError(f"unprintable node {e!r}")
 
-
-def _print_product(e: Expr) -> str:
-    factors = list(e.factors) if isinstance(e, Mul) else [e]
-    coeff = Fraction(1)
-    num_parts: list[str] = []
-    den_parts: list[str] = []
-    for f in factors:
-        if isinstance(f, Const):
-            coeff *= f.value
-        elif isinstance(f, Pow) and f.exponent < 0:
-            den_parts.append(_print_power(f.base, -f.exponent))
-        else:
-            num_parts.append(_print_power(f.base, f.exponent) if isinstance(f, Pow) else _print(f, 1))
-    sign = "-" if coeff < 0 else ""
-    coeff = abs(coeff)
-    if coeff.numerator != 1 or not num_parts:
-        num_parts.insert(0, str(coeff.numerator))
-    if coeff.denominator != 1:
-        den_parts.insert(0, str(coeff.denominator))
-    s = sign + "*".join(num_parts)
-    for d in den_parts:
-        s += "/" + d
-    return s
-
-
-def _print_power(base: Expr, q: Fraction) -> str:
-    if q == 1:
-        # only reached for denominator factors: base must bind tighter than /
-        return _print(base, 2)
-    if q == Fraction(1, 2):
-        return f"sqrt({_print(base, 0)})"
-    base_s = _print(base, 2)
-    if q.denominator == 1:
-        return f"{base_s}^{q.numerator}"
-    return f"{base_s}^({q.numerator}/{q.denominator})"
+    def _power(self, base: Expr, q: Fraction) -> str:
+        if q == 1:
+            # only reached for denominator factors: base must bind tighter than /
+            return self.show(base, 2)
+        if q == Fraction(1, 2):
+            return f"sqrt({self.show(base, 0)})"
+        base_s = self.show(base, 2)
+        if q.denominator == 1:
+            return f"{base_s}^{q.numerator}"
+        return f"{base_s}^({q.numerator}/{q.denominator})"

@@ -7,6 +7,7 @@ from edgeboot.expr import (
     Add,
     Const,
     Exp,
+    ExprError,
     KernelRegistry,
     Mul,
     NormCdf,
@@ -89,6 +90,59 @@ class TestParse:
         with pytest.raises(UnsupportedExponentError):
             parse("x1^(1/3)")
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("x1 + ", ParseError, "unexpected token 'eof' at position 5"),
+            ("0.5*x1", ParseError,
+             "decimal literal '0.5' at position 0: constants must be exact rationals"),
+            ("x1 $ 2", ParseError, "unexpected character ' ' at position 2"),
+            ("(x1 + 2", ParseError, "expected ')' at position 7, got 'eof'"),
+            ("x1)", ParseError, "trailing input ')' at position 2"),
+            ("foo(x1)", ParseError, "unknown identifier 'foo' at position 0"),
+            ("(x1 + 2)*x3 + (x1 + 2)*x4 + (x1 + 2.5)", ParseError,
+             "decimal literal '2.5' at position 34: constants must be exact rationals"),
+            ("sqrt(kappa1 + 2)*x1 + sqrt(kappa1 + 0.5)*x2", ParseError,
+             "decimal literal '0.5' at position 36: constants must be exact rationals"),
+            ("(x1 + 2)*(x1 + 2) + (x1 + 2", ParseError,
+             "expected ')' at position 27, got 'eof'"),
+            ("sqrt(x2 - x1^2)*sqrt(x2 - x1^2)", PositivityError,
+             "half-integer power of a base not registered as positive: x2 - x1^2"),
+        ],
+    )
+    def test_error_message_and_position(self, text, error, message):
+        with pytest.raises(ExprError) as info:
+            parse(text, KernelRegistry())
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_repeated_group_is_one_object(self):
+        e = parse("sqrt(sigma + 1)*x1 + sqrt(sigma + 1)*x2")
+        first, second = e.terms
+        assert first.factors[0] is second.factors[0]
+        assert first.factors[0] == pow_(add(Sym("sigma"), const(1)), Fraction(1, 2))
+
+    def test_groups_keyed_with_their_function(self):
+        e = parse("exp(x1) + Phi(x1) + phi(x1) + (x1) + sqrt(sigma) + (sigma)")
+        x1, sigma = Var(1), Sym("sigma")
+        assert e == add(Exp(x1), NormCdf(x1), NormPdf(x1), x1,
+                        pow_(sigma, Fraction(1, 2)), sigma)
+
+    def test_repeated_group_checks_positivity_once(self):
+        class Counting(KernelRegistry):
+            calls = 0
+
+            def contains(self, e):
+                Counting.calls += 1
+                return super().contains(e)
+
+        counts = []
+        for copies in (1, 3):
+            Counting.calls = 0
+            parse(" + ".join(["sqrt(sigma + x2)"] * copies), Counting())
+            counts.append(Counting.calls)
+        assert counts[0] == counts[1] > 0
+
 
 class TestPrettyPrint:
     def test_atoms(self):
@@ -106,6 +160,13 @@ class TestPrettyPrint:
     def test_division_chain(self):
         e = div(const(1), mul(const(2), Var(1)))
         assert parse(pretty_print(e)) == e
+
+    def test_shared_node_printed_with_and_without_sign(self):
+        # a product nested in a product (not canonical) prints the same
+        # negative-leading node unsigned there and negated as a sum's term
+        m = mul(const(-2), Var(2))
+        e = add(Mul((Var(1), m)), m)
+        assert pretty_print(e) == _print(e, 0) == "x1*(-2*x2) - 2*x2"
 
     @pytest.mark.parametrize(
         "text",
@@ -136,12 +197,12 @@ _atoms = st.one_of(
 )
 
 
-def _exprs(depth):
+def _exprs(depth, atoms=_atoms):
     if depth == 0:
-        return _atoms
-    sub_e = _exprs(depth - 1)
+        return atoms
+    sub_e = _exprs(depth - 1, atoms)
     return st.one_of(
-        _atoms,
+        atoms,
         st.lists(sub_e, min_size=2, max_size=3).map(lambda ts: add(*ts)),
         st.lists(sub_e, min_size=2, max_size=3).map(lambda fs: mul(*fs)),
         st.tuples(sub_e, st.integers(-3, 3)).map(
@@ -158,10 +219,116 @@ def _exprs(depth):
     )
 
 
+@st.composite
+def _dags(draw):
+    """ASTs that reuse one subexpression object in several places, also as
+    a negative-leading term of sums (the constructors keep operands by
+    identity, so every use below is the same object)."""
+    s = draw(_exprs(2))
+    n = mul(draw(st.integers(-3, -1).map(const)), s)
+    shared = [s, n, add(n, Var(1)), add(Sym("mu"), n, s), mul(s, s)]
+    return draw(_exprs(3, st.one_of(_atoms, st.sampled_from(shared))))
+
+
+# Reference printer: the recursive tree walk the memoised printer replaced,
+# kept as it was so that the two can be compared on random DAGs.
+def _ref_is_negative_leading(e):
+    if isinstance(e, Const):
+        return e.value < 0
+    if isinstance(e, Mul) and e.factors and isinstance(e.factors[0], Const):
+        return e.factors[0].value < 0
+    return False
+
+
+def _print(e, prec):
+    # precedence: 0 sum, 1 product, 2 power, 3 atom
+    if isinstance(e, Const):
+        v = e.value
+        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        if (v < 0 or v.denominator != 1) and prec >= 1:
+            return f"({s})" if prec >= 2 or v < 0 else s
+        return s
+    if isinstance(e, Sym):
+        return e.name
+    if isinstance(e, Var):
+        return f"x{e.index}"
+    if isinstance(e, Exp):
+        return f"exp({_print(e.arg, 0)})"
+    if isinstance(e, NormCdf):
+        return f"Phi({_print(e.arg, 0)})"
+    if isinstance(e, NormPdf):
+        return f"phi({_print(e.arg, 0)})"
+    if isinstance(e, Add):
+        first = e.terms[0]
+        if _ref_is_negative_leading(first):
+            parts = ["-" + _print(neg(first), 1)]
+        else:
+            parts = [_print(first, 1)]
+        for t in e.terms[1:]:
+            if _ref_is_negative_leading(t):
+                parts.append(" - " + _print(neg(t), 1))
+            else:
+                parts.append(" + " + _print(t, 1))
+        s = "".join(parts)
+        return f"({s})" if prec >= 1 else s
+    if isinstance(e, (Mul, Pow)):
+        s = _print_product(e)
+        if prec >= 2 or (prec >= 1 and s.startswith("-")):
+            return f"({s})"
+        return s
+    raise ExprError(f"unprintable node {e!r}")
+
+
+def _print_product(e):
+    factors = list(e.factors) if isinstance(e, Mul) else [e]
+    coeff = Fraction(1)
+    num_parts = []
+    den_parts = []
+    for f in factors:
+        if isinstance(f, Const):
+            coeff *= f.value
+        elif isinstance(f, Pow) and f.exponent < 0:
+            den_parts.append(_print_power(f.base, -f.exponent))
+        else:
+            num_parts.append(_print_power(f.base, f.exponent) if isinstance(f, Pow) else _print(f, 1))
+    sign = "-" if coeff < 0 else ""
+    coeff = abs(coeff)
+    if coeff.numerator != 1 or not num_parts:
+        num_parts.insert(0, str(coeff.numerator))
+    if coeff.denominator != 1:
+        den_parts.insert(0, str(coeff.denominator))
+    s = sign + "*".join(num_parts)
+    for d in den_parts:
+        s += "/" + d
+    return s
+
+
+def _print_power(base, q):
+    if q == 1:
+        # only reached for denominator factors: base must bind tighter than /
+        return _print(base, 2)
+    if q == Fraction(1, 2):
+        return f"sqrt({_print(base, 0)})"
+    base_s = _print(base, 2)
+    if q.denominator == 1:
+        return f"{base_s}^{q.numerator}"
+    return f"{base_s}^({q.numerator}/{q.denominator})"
+
+
 class TestProperties:
     @given(_exprs(3))
     @settings(max_examples=200, deadline=None)
     def test_parse_print_identity(self, e):
+        assert parse(pretty_print(e)) == e
+
+    @given(_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_dag_prints_as_its_tree(self, e):
+        assert pretty_print(e) == _print(e, 0)
+
+    @given(_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_dag_parse_print_identity(self, e):
         assert parse(pretty_print(e)) == e
 
     @given(_exprs(2))
