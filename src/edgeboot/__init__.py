@@ -34,7 +34,6 @@ from .edgeworth import (
     cdf_eval,
     cornish_fisher_polys,
     cumulant_coeffs,
-    cumulant_coeffs_naive,
     edgeworth_polys,
     quantile_eval,
     scale_adjust,

@@ -325,8 +325,9 @@ def _mono_div(m1: Monomial, m2: Monomial) -> Monomial | None:
 class MPoly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
-    A product accumulates its kernel-reduced term products into one dict, so
-    it costs one pass over the |a|*|b| term pairs; :meth:`divexact` by a
+    A product accumulates its term products into one dict, so it costs one
+    pass over the |a|*|b| term pairs, and sends only those with a squared or
+    a second kernel through :func:`_reduce_kernels`; :meth:`divexact` by a
     monomial is termwise.
     """
 
@@ -397,11 +398,22 @@ class MPoly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                for m, c in _reduce_kernels(_mono_mul(m1, m2), c1 * c2).terms.items():
-                    if m in out:
-                        out[m] += c
-                    else:
-                        out[m] = c
+                m = _mono_mul(m1, m2)
+                c = c1 * c2
+                # kernels sort last, so a monomial needs _reduce_kernels only
+                # for a squared last kernel or a kernel before the last one
+                if m and m[-1][0][0] == 2 and (
+                    m[-1][1] >= 2 or (len(m) >= 2 and m[-2][0][0] == 2)
+                ):
+                    for mr, cr in _reduce_kernels(m, c).terms.items():
+                        if mr in out:
+                            out[mr] += cr
+                        else:
+                            out[mr] = cr
+                elif m in out:
+                    out[m] += c
+                else:
+                    out[m] = c
         return MPoly({m: c for m, c in out.items() if c != 0})
 
     def __pow__(self, n: int) -> "MPoly":

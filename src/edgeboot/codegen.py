@@ -31,10 +31,8 @@ def emit_assignments(pairs: list[tuple[str, Expr]], dialect: str = "generic-scal
 
 def _emit_expr(e: Expr) -> str:
     # widen the printer's spacing: binary * and / get spaces for readability
-    text = pretty_print(e)
-    text = re.sub(r"(?<=[\w)])\*(?=[-\w(])", " * ", text)
-    text = re.sub(r"(?<=[\w)])/(?=[-\w(])", " / ", text)
-    return text
+    # (the printer writes both only between operands, never spaced)
+    return pretty_print(e).replace("*", " * ").replace("/", " / ")
 
 
 def reimport_check(text: str, kernels: KernelRegistry | None = None) -> list[tuple[str, Expr]]:

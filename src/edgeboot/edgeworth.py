@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Union
@@ -96,6 +96,8 @@ class StatModel:
     spec: MomentSpec
     params: dict[str, float]
     kernels: KernelRegistry
+    # (ring, derivative table in that ring), filled by the first _model_ring call
+    ring_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_numeric(self) -> bool:
@@ -286,7 +288,17 @@ class _Ring:
 
 
 def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
-    """Choose the value ring and build converted derivative lookups."""
+    """Choose the value ring and build converted derivative lookups.
+
+    The table is converted once per model and kept on ``model.ring_table``;
+    later calls (``cumulant_coeffs`` then ``accel_constant``) return it.
+    """
+    if model.ring_table is None:
+        model.ring_table = _convert_derivs(model)
+    return model.ring_table
+
+
+def _convert_derivs(model: StatModel) -> tuple[_Ring, dict]:
     if model.is_numeric:
         return _Ring("float"), {t: float(v) for t, v in model.deriv.items()}
     try:
@@ -356,7 +368,13 @@ def cumulant_coeffs(model: StatModel, spec: MomentSpec | None = None) -> Cumulan
     """Symmetry-reduced evaluation of the four expansion coefficients.
 
     Derivative and moment symmetry are exploited through sorted-tuple
-    lookups and vector/matrix contractions of the nested sums.
+    lookups and vector/matrix contractions of the nested sums.  Cost in
+    ring products, for D = ``model.dims``: S2, k12 and k31_t2 run over the
+    D^2/2 sorted pairs, k31_t1 and k41_t4 over the D^3/6 sorted triples, and
+    k41_t1 over the D^4/24 sorted quadruples.  The vectors B = mu2 . a1 and
+    C = a2 . B cost D^2 each, T costs D^3/2, and k22_t1, k22_t3 and the
+    matrix N of k22_t2 cost D^3.  Given C,
+    k41_t2 = 12 C . T costs D and k41_t3 = 12 C' mu2 C costs D^2/2.
     """
     spec = spec or model.spec
     ring, a = _model_ring(model)
@@ -449,20 +467,21 @@ def cumulant_coeffs(model: StatModel, spec: MomentSpec | None = None) -> Cumulan
         )
         for m_idx in rng1
     }
-    k41_t2 = Fraction(12) * _sum(
-        a[tuple(sorted((l, m_idx)))] * B[l] * T[m_idx]
+    # C = a2 . B; both D^4 sums over a2 a2 (or a2 B T) factor through it
+    C = {
+        l: _sum(
+            a[tuple(sorted((k, l)))] * B[k]
+            for k in rng1
+            if not ring.is_zero(a[tuple(sorted((k, l)))])
+        )
         for l in rng1
-        for m_idx in rng1
-        if not ring.is_zero(a[tuple(sorted((l, m_idx)))])
-    )
+    }
+    nonzero_c = [l for l in rng1 if not ring.is_zero(C[l])]
+    k41_t2 = Fraction(12) * _sum(C[m_idx] * T[m_idx] for m_idx in nonzero_c)
     k41_t3 = Fraction(12) * _sum(
-        a[tuple(sorted((k, l)))] * a[tuple(sorted((m_idx, o)))] * B[k] * B[m_idx] * M(l, o)
-        for k in rng1
-        for l in rng1
-        if not ring.is_zero(a[tuple(sorted((k, l)))])
-        for m_idx in rng1
-        for o in rng1
-        if not ring.is_zero(a[tuple(sorted((m_idx, o)))])
+        Fraction(m) * (C[l] * C[o] * M(l, o))
+        for (l, o), m in pairs
+        if l in nonzero_c and o in nonzero_c
     )
     k41_t4 = Fraction(4) * _sum(
         Fraction(m) * (a[t] * B[t[0]] * B[t[1]] * B[t[2]])
@@ -471,71 +490,6 @@ def cumulant_coeffs(model: StatModel, spec: MomentSpec | None = None) -> Cumulan
     )
     k41 = k41_t1 + k41_t2 + k41_t3 + k41_t4
 
-    return CumulantCoeffs(
-        k12=ring.finish(k12),
-        k22=ring.finish(k22),
-        k31=ring.finish(k31),
-        k41=ring.finish(k41),
-    )
-
-
-def cumulant_coeffs_naive(model: StatModel, spec: MomentSpec | None = None) -> CumulantCoeffs:
-    """Literal nested-loop reference evaluator of the coefficient formulas.
-
-    Kept as an independent oracle for the symmetry-reduced implementation;
-    intended for numeric specs (full six-deep loops).
-    """
-    spec = spec or model.spec
-    ring, a = _model_ring(model)
-    M = _MomentView(MomentTable(spec, model.dims), ring)
-    D = model.dims
-    rng1 = range(1, D + 1)
-
-    def a_(*idx):
-        return a[tuple(sorted(idx))]
-
-    k12 = Fraction(1, 2) * sum(
-        (a_(i, j) * M(i, j) for i in rng1 for j in rng1), start=ring.zero()
-    )
-    k22 = (
-        sum((a_(i) * a_(j, k) * M(i, j, k) for i in rng1 for j in rng1 for k in rng1),
-            start=ring.zero())
-        + Fraction(1, 2) * sum(
-            (a_(i, j) * a_(k, l) * M(i, k) * M(j, l)
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
-        + sum(
-            (a_(i) * a_(j, k, l) * M(i, j) * M(k, l)
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
-    )
-    k31 = (
-        sum((a_(i) * a_(j) * a_(k) * M(i, j, k)
-             for i in rng1 for j in rng1 for k in rng1), start=ring.zero())
-        + 3 * sum(
-            (a_(i) * a_(j) * a_(k, l) * M(i, k) * M(j, l)
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
-    )
-    k41 = (
-        sum((a_(i) * a_(j) * a_(k) * a_(l) * (M(i, j, k, l) - 3 * (M(i, j) * M(k, l)))
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
-        + 12 * sum(
-            (a_(i) * a_(j) * a_(k) * a_(l, m) * M(i, l) * M(j, k, m)
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1 for m in rng1),
-            start=ring.zero())
-        + 12 * sum(
-            (a_(i) * a_(j) * a_(k, l) * a_(m, o) * M(i, k) * M(j, m) * M(l, o)
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1
-             for m in rng1 for o in rng1),
-            start=ring.zero())
-        + 4 * sum(
-            (a_(i) * a_(j) * a_(k) * a_(l, m, o) * M(i, l) * M(j, m) * M(k, o)
-             for i in rng1 for j in rng1 for k in rng1 for l in rng1
-             for m in rng1 for o in rng1),
-            start=ring.zero())
-    )
     return CumulantCoeffs(
         k12=ring.finish(k12),
         k22=ring.finish(k22),

@@ -25,6 +25,7 @@ from .edgeworth import Poly, StatModel, cdf_eval
 from .rearrange import Curve, clip01, is_nondecreasing, rearrange_increasing
 
 _CHUNK_ROWS = 65536
+MAX_GRID_POINTS = 100_000  # each point costs a CSV row and four expansion evaluations
 
 CSV_HEADER = "x,empirical,normal,edge1,edge2,edge1_rearranged,edge2_rearranged"
 
@@ -50,6 +51,7 @@ class McConfig:
             raise HarnessError("reps must be >= 1")
         if self.n < 2:
             raise HarnessError("n must be >= 2")
+        _check_grid_size(len(self.grid), "grid")
         g = np.asarray(self.grid)
         if g.size < 2 or not np.all(np.diff(g) > 0):
             raise HarnessError("grid must be strictly increasing")
@@ -62,10 +64,18 @@ def parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise HarnessError(f"bad grid spec {text!r}: want start:stop:step") from exc
-    if step <= 0 or stop <= start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop <= start:
         raise HarnessError(f"bad grid spec {text!r}")
     count = int(round((stop - start) / step)) + 1
+    _check_grid_size(count, f"grid {text!r}")
     return tuple(start + k * step for k in range(count))
+
+
+def _check_grid_size(count: int, what: str) -> None:
+    if count > MAX_GRID_POINTS:
+        raise HarnessError(
+            f"{what} has {count} points, more than the limit of {MAX_GRID_POINTS}"
+        )
 
 
 def _draw(cfg: McConfig, rng: np.random.Generator, rows: int) -> np.ndarray:

@@ -34,7 +34,6 @@ from edgeboot.edgeworth import (
     cdf_eval,
     cornish_fisher_polys,
     cumulant_coeffs,
-    cumulant_coeffs_naive,
     edgeworth_polys,
 )
 from edgeboot.expr import (
@@ -54,6 +53,8 @@ from edgeboot.moments import (
     gaussian_spec,
     symbolic_spec,
 )
+
+from naive_coeffs import cumulant_coeffs_naive
 
 ML_G_TEXT = (
     "Phi((lambda - x1)/sqrt(x2 - x1^2)) - Phi((-lambda - x1)/sqrt(x2 - x1^2))"

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeboot.algebra import Bindings, eval_numeric, random_bindings
-from edgeboot.codegen import CodegenError, emit_assignments, reimport_check
+from edgeboot.codegen import CodegenError, _emit_expr, emit_assignments, reimport_check
 from edgeboot.edgeworth import (
     Mode,
     accel_constant,
@@ -11,8 +14,21 @@ from edgeboot.edgeworth import (
     cumulant_coeffs,
     edgeworth_polys,
 )
-from edgeboot.expr import KernelRegistry, Sym, const, mul, parse, pow_, sqrt, sub, Var
+from edgeboot.expr import (
+    KernelRegistry,
+    Sym,
+    Var,
+    const,
+    mul,
+    parse,
+    pow_,
+    pretty_print,
+    sqrt,
+    sub,
+)
 from edgeboot.moments import gaussian_spec, symbolic_spec
+
+from test_expr import _dags, _exprs
 
 
 def roundtrip_value_equal(name, expr, kernels=None, trials=20, rtol=1e-12):
@@ -59,6 +75,27 @@ class TestEmit:
     def test_unknown_dialect(self):
         with pytest.raises(CodegenError):
             emit_assignments([("a", Sym("x"))], dialect="fortran")
+
+
+def _regex_spacing(text):
+    # the two passes the emitter used before plain replacement, kept as the
+    # reference for its output
+    text = re.sub(r"(?<=[\w)])\*(?=[-\w(])", " * ", text)
+    return re.sub(r"(?<=[\w)])/(?=[-\w(])", " / ", text)
+
+
+class TestSpacing:
+    @pytest.mark.parametrize(
+        "text", ["-1/6*x1", "x1*(-2)^(-1)", "-(3/4)*sigma^(3/2)/(x2 - x1^2)", "exp(-x1/2)"]
+    )
+    def test_matches_regex_spacing_examples(self, text):
+        e = parse(text)
+        assert _emit_expr(e) == _regex_spacing(pretty_print(e))
+
+    @given(st.one_of(_exprs(3), _dags()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_regex_spacing(self, e):
+        assert _emit_expr(e) == _regex_spacing(pretty_print(e))
 
 
 class TestReimport:

@@ -26,11 +26,13 @@ from edgeboot.edgeworth import (
     cdf_eval,
     cornish_fisher_polys,
     cumulant_coeffs,
-    cumulant_coeffs_naive,
     edgeworth_polys,
     quantile_eval,
     scale_adjust,
 )
+from edgeboot import edgeworth
+
+from naive_coeffs import cumulant_coeffs_naive
 
 ML_RADICAND = sub(Var(2), pow_(Var(1), 2))
 ML_G_TEXT = "Phi((lambda - x1)/sqrt(x2 - x1^2)) - Phi((-lambda - x1)/sqrt(x2 - x1^2))"
@@ -127,6 +129,15 @@ class TestNaiveAgreement:
         for name in ("k12", "k22", "k31", "k41"):
             assert normalize(getattr(fast, name)) == normalize(getattr(slow, name))
 
+    def test_variance_studentized_symbolic(self):
+        # D = 4 in the normal-form ring: the factored k41 sums against the
+        # literal six-deep loops, exactly
+        m = build_model(parse("x2 - x1^2"), Mode.STUDENTIZED, symbolic_spec(16))
+        fast = cumulant_coeffs(m)
+        slow = cumulant_coeffs_naive(m)
+        for name in ("k12", "k22", "k31", "k41"):
+            assert getattr(fast, name) == getattr(slow, name), name
+
     def test_variance_numeric(self):
         m = build_model(parse("x2 - x1^2"), Mode.STUDENTIZED, gaussian_spec(0.2, 1.1, 16))
         fast = cumulant_coeffs(m)
@@ -134,6 +145,25 @@ class TestNaiveAgreement:
         for name in ("k12", "k22", "k31", "k41"):
             a, b = getattr(fast, name), getattr(slow, name)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+class TestRingMemo:
+    def test_derivatives_converted_once(self, monkeypatch):
+        m = build_model(parse("x2 - x1^2"), Mode.NONSTUDENTIZED, symbolic_spec(8))
+        deriv_ids = {id(v) for v in m.deriv.values()}
+        memos = []  # kept alive, so their ids stay distinct
+        real = edgeworth._to_nf_memo
+
+        def counting(e, memo):
+            if id(e) in deriv_ids and not any(memo is seen for seen in memos):
+                memos.append(memo)
+            return real(e, memo)
+
+        monkeypatch.setattr(edgeworth, "_to_nf_memo", counting)
+        cumulant_coeffs(m)
+        accel_constant(m)
+        assert len(memos) == 1
+        assert edgeworth._model_ring(m) is m.ring_table
 
 
 class TestPolynomials:

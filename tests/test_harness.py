@@ -7,8 +7,11 @@ from scipy.special import betainc
 
 from edgeboot.edgeworth import Mode, build_model, cumulant_coeffs, edgeworth_polys
 from edgeboot.expr import parse
+from edgeboot import harness
+from edgeboot.cli import main
 from edgeboot.harness import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     HarnessError,
     McConfig,
     compare_and_emit,
@@ -31,9 +34,46 @@ class TestParseGrid:
         assert len(g) == 401 and g[0] == -4.0 and abs(g[-1] - 4.0) < 1e-12
 
     def test_bad_specs(self):
-        for bad in ("1:2", "2:1:0.1", "0:1:-1", "a:b:c"):
+        for bad in ("1:2", "2:1:0.1", "0:1:-1", "a:b:c", "0:inf:1", "nan:1:0.1"):
             with pytest.raises(HarnessError):
                 parse_grid(bad)
+
+
+@pytest.fixture
+def no_large_range(monkeypatch):
+    """Fail, instead of allocating, if the harness builds an oversized grid."""
+    def guarded(*args):
+        r = range(*args)
+        assert len(r) <= MAX_GRID_POINTS, f"harness asked for {len(r)} points"
+        return r
+
+    monkeypatch.setattr(harness, "range", guarded, raising=False)
+
+
+class TestGridLimit:
+    def test_limit_itself_is_allowed(self, no_large_range):
+        assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+    def test_parse_grid_rejects_before_allocating(self, no_large_range):
+        with pytest.raises(HarnessError, match=r"6000000001 points.*limit of 100000"):
+            parse_grid("-3:3:1e-9")
+        with pytest.raises(HarnessError, match="100001 points"):
+            parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+    def test_mc_config_rejects(self):
+        grid = tuple(float(k) for k in range(MAX_GRID_POINTS + 1))
+        with pytest.raises(HarnessError, match="100001 points"):
+            McConfig("gaussian", n=10, reps=10, grid=grid, seed=1)
+
+    def test_cli_mc_rejects(self, no_large_range, capsys, tmp_path):
+        out_file = tmp_path / "fig.csv"
+        code = main(["mc", "--stat", "mean", "--moments", "gaussian", "--dist", "gaussian",
+                     "--n", "10", "--reps", "100", "--grid", "-3:3:1e-9", "--seed", "7",
+                     "--out", str(out_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "6000000001 points" in err and "limit of 100000" in err
+        assert not out_file.exists()
 
 
 class TestSimulate:
