@@ -326,9 +326,9 @@ class MPoly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
     A product accumulates its term products into one dict, so it costs one
-    pass over the |a|*|b| term pairs, and sends only those with a squared or
-    a second kernel through :func:`_reduce_kernels`; :meth:`divexact` by a
-    monomial is termwise.
+    pass over the |a|*|b| term pairs.  Those with a squared or a second
+    kernel are grouped by their kernel part, and each group goes through
+    :func:`_reduce_kernels` once; :meth:`divexact` by a monomial is termwise.
     """
 
     __slots__ = ("terms",)
@@ -396,21 +396,38 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         out: dict[Monomial, Fraction] = {}
+        # term products that need _reduce_kernels, as plain parts summed per
+        # kernel part; kernels sort last, so a monomial needs reduction only
+        # for a squared last kernel or a kernel before the last one
+        buckets: dict[Monomial, dict[Monomial, Fraction]] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
-                # kernels sort last, so a monomial needs _reduce_kernels only
-                # for a squared last kernel or a kernel before the last one
                 if m and m[-1][0][0] == 2 and (
                     m[-1][1] >= 2 or (len(m) >= 2 and m[-2][0][0] == 2)
                 ):
-                    for mr, cr in _reduce_kernels(m, c).terms.items():
-                        if mr in out:
-                            out[mr] += cr
-                        else:
-                            out[mr] = cr
+                    k = len(m) - 1  # m[k:] is the kernel part
+                    while k and m[k - 1][0][0] == 2:
+                        k -= 1
+                    plain = buckets.setdefault(m[k:], {})
+                    pm = m[:k]
+                    if pm in plain:
+                        plain[pm] += c
+                    else:
+                        plain[pm] = c
                 elif m in out:
+                    out[m] += c
+                else:
+                    out[m] = c
+        for kpart, plain in buckets.items():
+            group = MPoly({m: c for m, c in plain.items() if c != 0})
+            if group.is_zero:
+                continue
+            # a kernel-free group times at most one unreduced kernel: this
+            # product fills no buckets of its own
+            for m, c in (group * _reduce_kernels(kpart, Fraction(1))).terms.items():
+                if m in out:
                     out[m] += c
                 else:
                     out[m] = c
@@ -571,6 +588,9 @@ def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
 # Normal forms
 # ---------------------------------------------------------------------------
 
+_UNIT = {EMPTY_MONO: Fraction(1)}  # terms of the constant polynomial 1
+
+
 class NormalForm:
     """Fraction of multivariate polynomials, kernel-free monic denominator.
 
@@ -615,6 +635,8 @@ class NormalForm:
         if num.is_zero:
             self.den = MPoly.constant(Fraction(1))
             return
+        if den.terms == _UNIT:
+            return  # no monomial to share, already monic
         # common monomial factor
         shared: dict[Gen, int] = {}
         first = True
@@ -784,39 +806,43 @@ def _kernel_parts(num: MPoly) -> dict[Monomial, MPoly]:
 
 # -- sympy bridge for polynomial gcd ----------------------------------------
 
-def _sympy_gcd_many(polys: list[MPoly]):
-    import sympy
+def _sympy_gcd_many(polys: list[MPoly]) -> MPoly | None:
+    """gcd of ``polys`` up to a rational factor, or None when it is constant.
+
+    Runs in sympy's sparse ring over QQ (heuristic integer gcd), with one
+    generator per distinct MPoly generator and no expression layer."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
 
     gens = sorted({g for p in polys for g in p.gens()})
     if not gens:
         return None
-    symbols = {g: sympy.Symbol(f"g{i}") for i, g in enumerate(gens)}
+    R = ring(",".join(f"g{i}" for i in range(len(gens))), QQ)[0]
+    index = {g: i for i, g in enumerate(gens)}
+    zeros = [0] * len(gens)
 
-    def to_sympy(p: MPoly):
-        total = sympy.Integer(0)
+    def to_ring(p: MPoly):
+        terms = {}
         for m, c in p.terms.items():
-            term = sympy.Rational(c.numerator, c.denominator)
+            exps = zeros.copy()
             for g, e in m:
-                term *= symbols[g] ** e
-            total += term
-        return total
+                exps[index[g]] = e
+            terms[tuple(exps)] = QQ(c.numerator, c.denominator)
+        return R.from_dict(terms)
 
     acc = None
     for p in polys:
-        sp = to_sympy(p)
-        acc = sp if acc is None else sympy.gcd(acc, sp)
-        if acc == 1:
+        if p.is_zero:
+            continue  # gcd(0, q) = q
+        rp = to_ring(p)
+        acc = rp if acc is None else acc.gcd(rp)
+        if acc.is_ground:
             return None
-    if acc is None or acc.is_number:
-        return None
-    poly = sympy.Poly(acc, *[symbols[g] for g in gens])
-    out = MPoly()
-    for powers, coeff in poly.terms():
-        mono = tuple(
-            (g, int(e)) for g, e in zip(gens, powers) if e
-        )
-        out = out + MPoly({tuple(sorted(mono)): Fraction(int(coeff.p), int(coeff.q))})
-    return out
+    return MPoly({
+        tuple((g, e) for g, e in zip(gens, exps) if e):
+            Fraction(int(c.numerator), int(c.denominator))
+        for exps, c in acc.terms()
+    })
 
 
 def _poly_to_expr(p: MPoly) -> Expr:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from .algebra import Bindings, eval_numeric, differentiate
 from .edgeworth import StatModel
-from .expr import ZERO, arity
+from .expr import ZERO, Expr, KernelRegistry, arity
 
 _CHUNK = 256
 
@@ -39,7 +39,17 @@ class BiasCorrectionUndefinedError(BootstrapError):
 StatFn = Callable[[np.ndarray], np.ndarray]
 
 
-def statistic_evaluator(model: StatModel) -> StatFn:
+@dataclass(frozen=True)
+class Statistic:
+    """All the bootstrap reads of a statistic: g, its parameter values and
+    its square-root kernels.  A :class:`StatModel` serves as well."""
+
+    g: Expr
+    params: Mapping[str, float]
+    kernels: KernelRegistry
+
+
+def statistic_evaluator(model: StatModel | Statistic) -> StatFn:
     """Vectorized theta-hat: g at the power means of each resample row."""
     g = model.g
     d = arity(g)
@@ -146,7 +156,7 @@ def h_inverse_rank(B: int, p: float) -> int:
     return min(max(int(math.ceil(p * B)), 1), B)
 
 
-def accel_plugin(data: Sequence[float], model: StatModel) -> float:
+def accel_plugin(data: Sequence[float], model: StatModel | Statistic) -> float:
     """Plug-in acceleration: derivatives at the empirical moment point and
     empirical central cross-moments; invariant to the statistic's scaling.
 
@@ -234,7 +244,7 @@ def bca_from_replicates(
 def bca_interval(
     data: Sequence[float],
     cfg: BootConfig,
-    model: StatModel,
+    model: StatModel | Statistic,
     a_hat: float | None = None,
 ) -> BcaResult:
     """Nonparametric BCA interval for the statistic of ``model``.

@@ -18,7 +18,13 @@ from fractions import Fraction
 from .algebra import AlgebraError, Bindings
 from .bootstrap import BootConfig, BootstrapError, bca_interval
 from .codegen import CodegenError, emit_assignments
-from .config import ConfigError, FullConfig, load_config, model_from_config
+from .config import (
+    ConfigError,
+    FullConfig,
+    load_config,
+    model_from_config,
+    statistic_from_config,
+)
 from .edgeworth import (
     Mode,
     ModelError,
@@ -76,20 +82,36 @@ def _print_report(report: dict, fmt: str) -> None:
         print(f"{key} = {value}")
 
 
-def _stat_args(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
+def _statistic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stat", required=True, help="config file or preset name")
-    p.add_argument("--mode", choices=["plain", "studentized"], default=None)
-    p.add_argument("--moments", default=None,
-                   help="override distribution: symbolic|gaussian|exponential|empirical|custom")
-    p.add_argument("--mu", type=str, default=None)
-    p.add_argument("--sigma", type=str, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="acceptance limit parameter")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="statistic parameter override")
     p.add_argument("--format", choices=["text", "json"], default="text")
+
+
+def _stat_args(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
+    _statistic_args(p)
+    p.add_argument("--mode", choices=["plain", "studentized"], default=None)
+    p.add_argument("--moments", default=None,
+                   help="override distribution: symbolic|gaussian|exponential|empirical|custom")
+    p.add_argument("--mu", type=str, default=None)
+    p.add_argument("--sigma", type=str, default=None)
     if seed_required:
         p.add_argument("--seed", type=int, required=True)
+
+
+def _param_override(args) -> dict[str, float] | None:
+    params: dict[str, float] = {}
+    if args.lam is not None:
+        params["lambda"] = args.lam
+    for spec_text in args.param:
+        name, _, value = spec_text.partition("=")
+        if not value:
+            raise ConfigError(f"bad --param {spec_text!r}, want NAME=VALUE")
+        params[name.strip()] = float(Fraction(value.strip()))
+    return params or None
 
 
 def _build_model(args) -> tuple[StatModel, FullConfig]:
@@ -101,18 +123,10 @@ def _build_model(args) -> tuple[StatModel, FullConfig]:
         moments_override["mu"] = args.mu
     if args.sigma is not None:
         moments_override["sigma"] = args.sigma
-    params: dict[str, float] = {}
-    if args.lam is not None:
-        params["lambda"] = args.lam
-    for spec_text in args.param:
-        name, _, value = spec_text.partition("=")
-        if not value:
-            raise ConfigError(f"bad --param {spec_text!r}, want NAME=VALUE")
-        params[name.strip()] = float(Fraction(value.strip()))
     mode = Mode.parse(args.mode) if args.mode else None
     model = model_from_config(cfg, mode=mode,
                               moments_override=moments_override or None,
-                              param_override=params or None)
+                              param_override=_param_override(args))
     return model, cfg
 
 
@@ -204,10 +218,11 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_bca(args) -> int:
-    model, cfg = _build_model(args)
+    # the interval reads only the data and the statistic: no moment model
+    stat = statistic_from_config(load_config(args.stat), _param_override(args))
     data = _read_column(args.data)
     boot = BootConfig(B=args.B, seed=args.seed, alpha=args.alpha)
-    result = bca_interval(data, boot, model)
+    result = bca_interval(data, boot, stat)
     report = {
         "theta_hat": result.theta_hat,
         "m_hat": result.m_hat,
@@ -306,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_mc)
 
     p = sub.add_parser("bca", help="BCA bootstrap interval")
-    _stat_args(p, seed_required=True)
+    _statistic_args(p)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--data", required=True, help="one-column CSV, optional header")
     p.add_argument("--B", type=int, default=1999)
     p.add_argument("--alpha", type=float, default=0.05)

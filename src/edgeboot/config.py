@@ -19,6 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from .bootstrap import Statistic
 from .expr import Expr, KernelRegistry, arity, parse
 from .moments import spec_from_config
 from .edgeworth import Mode, StatModel, build_model
@@ -49,6 +50,9 @@ class StatisticConfig:
 
     def parse_g(self, reg: KernelRegistry | None = None) -> Expr:
         return parse(self.g_text, reg or self.registry())
+
+    def merged_params(self, override: dict[str, float] | None = None) -> dict[str, float]:
+        return {**self.params, **(override or {})}
 
 
 @dataclass
@@ -136,7 +140,14 @@ def model_from_config(
     if moments_override:
         section.update(moments_override)
     spec = spec_from_config(section, required_K)
-    params = dict(stat.params)
-    if param_override:
-        params.update(param_override)
-    return build_model(g, mode, spec, d=stat.d, params=params, kernels=reg)
+    return build_model(g, mode, spec, d=stat.d, params=stat.merged_params(param_override),
+                       kernels=reg)
+
+
+def statistic_from_config(
+    cfg: FullConfig, param_override: dict[str, float] | None = None
+) -> Statistic:
+    """The statistic a config describes, without its moment model."""
+    stat = cfg.statistic
+    reg = stat.registry()
+    return Statistic(stat.parse_g(reg), stat.merged_params(param_override), reg)

@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgeboot import algebra
 from edgeboot.algebra import (
     Bindings,
     Comparison,
     DomainError,
     EvalError,
     MPoly,
+    NormalForm,
     TranscendentalResidueError,
     _mono_mul,
     _reduce_kernels,
+    _sympy_gcd_many,
     differentiate,
     differentiate_multi,
     eval_numeric,
@@ -373,3 +376,158 @@ class TestMPolyArithmetic:
         radicand = MPoly(terms)
         s = MPoly.gen((2, radicand.key()))
         assert s * s == radicand
+
+    # -- kernel-bucketed products: s1, s2 are the two _KERNEL_GENS ----------
+
+    def test_product_with_both_kernels(self):
+        x1, x2, mu, sigma = (MPoly.gen(g) for g in _PLAIN_GENS)
+        s1, s2 = (MPoly.gen(g) for g in _KERNEL_GENS)
+        p = (x1 + mu) * s1 + sigma * s2
+        q = x2 * s1 + s2 + MPoly.constant(Fraction(3))
+        prod = p * q
+        assert prod.terms == _reference_product(p, q)
+        # s1*s2 merges into the kernel of the product of the radicands
+        assert any(g[0] == 2 and g not in _KERNEL_GENS for m in prod.terms for g, _ in m)
+
+    def test_squared_kernel_times_plain_terms(self):
+        x1, x2, mu, sigma = (MPoly.gen(g) for g in _PLAIN_GENS)
+        s1 = MPoly.gen(_KERNEL_GENS[0])
+        p = (x1 + MPoly.constant(Fraction(2)) * mu) * s1
+        q = (x2 - sigma) * s1
+        radicand = MPoly.from_key(_KERNEL_GENS[0][1])
+        assert (p * q).terms == _reference_product(p, q)
+        assert p * q == (x1 + MPoly.constant(Fraction(2)) * mu) * (x2 - sigma) * radicand
+
+    def test_bucket_whose_plain_parts_cancel(self):
+        x1 = MPoly.gen(_PLAIN_GENS[0])
+        s1, s2 = (MPoly.gen(g) for g in _KERNEL_GENS)
+        r1, r2 = (MPoly.from_key(g[1]) for g in _KERNEL_GENS)
+        # the two s1*s2 products carry x1 and -x1
+        p, q = x1 * s1 + s2, s2 - x1 * s1
+        prod = p * q
+        assert prod.terms == _reference_product(p, q)
+        assert prod == r2 - x1 * x1 * r1
+        assert all(c != 0 for c in prod.terms.values())
+
+
+# -- light reduction --------------------------------------------------------
+
+class TestLightReduce:
+    def test_unit_denominator_leaves_num_untouched(self, monkeypatch):
+        x1, mu = MPoly.gen((0, 1)), MPoly.gen((1, "mu"))
+        num = x1 * mu + MPoly.constant(Fraction(-3, 2)) * x1 * x1
+
+        def no_leading(self):
+            raise AssertionError("monic step ran for a unit denominator")
+
+        monkeypatch.setattr(MPoly, "leading", no_leading)
+        nf = NormalForm(num, MPoly.constant(Fraction(1)))
+        assert nf.num is num
+        assert nf.den == MPoly.constant(Fraction(1))
+
+    def test_constant_denominator_is_made_monic(self):
+        x1 = MPoly.gen((0, 1))
+        num = MPoly.constant(Fraction(2)) * x1 + MPoly.constant(Fraction(4))
+        nf = NormalForm(num, MPoly.constant(Fraction(3)))
+        assert nf.den == MPoly.constant(Fraction(1))
+        assert nf.num == MPoly.constant(Fraction(2, 3)) * x1 + MPoly.constant(Fraction(4, 3))
+
+    def test_shared_monomial_is_cancelled(self):
+        x1, mu, sigma = MPoly.gen((0, 1)), MPoly.gen((1, "mu")), MPoly.gen((1, "sigma"))
+        nf = NormalForm(x1 * x1 * mu + x1 * sigma, MPoly.constant(Fraction(2)) * x1 * sigma)
+        assert nf.den == sigma
+        assert nf.num == MPoly.constant(Fraction(1, 2)) * (x1 * mu + sigma)
+
+
+# -- gcd bridge ---------------------------------------------------------------
+
+def _expression_gcd_many(polys: list[MPoly]):
+    """The gcd bridge as it was before it moved to sympy's sparse ring: each
+    polynomial built as a sympy expression, gcd by ``sympy.gcd``."""
+    import sympy
+
+    gens = sorted({g for p in polys for g in p.gens()})
+    if not gens:
+        return None
+    symbols = {g: sympy.Symbol(f"g{i}") for i, g in enumerate(gens)}
+
+    def to_sympy(p: MPoly):
+        total = sympy.Integer(0)
+        for m, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for g, e in m:
+                term *= symbols[g] ** e
+            total += term
+        return total
+
+    acc = None
+    for p in polys:
+        sp = to_sympy(p)
+        acc = sp if acc is None else sympy.gcd(acc, sp)
+        if acc == 1:
+            return None
+    if acc is None or acc.is_number:
+        return None
+    poly = sympy.Poly(acc, *[symbols[g] for g in gens])
+    out = MPoly()
+    for powers, coeff in poly.terms():
+        mono = tuple(
+            (g, int(e)) for g, e in zip(gens, powers) if e
+        )
+        out = out + MPoly({tuple(sorted(mono)): Fraction(int(coeff.p), int(coeff.q))})
+    return out
+
+
+@st.composite
+def _gcd_inputs(draw):
+    """2-4 polynomials over 1-4 generators that share a random factor (which
+    may be a constant, so constant gcds are drawn too)."""
+    gens = draw(st.lists(st.sampled_from(_PLAIN_GENS + _KERNEL_GENS),
+                         min_size=1, max_size=4, unique=True))
+    poly = st.dictionaries(_monomials(gens), _coeffs, min_size=1, max_size=3).map(MPoly)
+    common = draw(poly)
+    return [common * c for c in draw(st.lists(poly, min_size=2, max_size=4))]
+
+
+def _rational_multiple(a: MPoly, b: MPoly) -> bool:
+    if a.terms.keys() != b.terms.keys():
+        return False
+    m = next(iter(a.terms))
+    return a == b.scale(a.terms[m] / b.terms[m])
+
+
+class TestGcd:
+    @given(_gcd_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_expression_gcd(self, polys):
+        got, want = _sympy_gcd_many(polys), _expression_gcd_many(polys)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _rational_multiple(got, want)
+            assert all(p.divexact(got) is not None for p in polys if not p.is_zero)
+
+    def test_common_factor_found(self):
+        x1, x2, sigma = MPoly.gen((0, 1)), MPoly.gen((0, 2)), MPoly.gen((1, "sigma"))
+        f = MPoly.constant(Fraction(1, 2)) * x1 + MPoly.constant(Fraction(3)) * sigma
+        g = x1 + x2
+        # the first two share f*g, the third only f
+        got = _sympy_gcd_many([f * g * (x2 + sigma), f * f * g, f * x1])
+        assert _rational_multiple(got, f)
+        assert _sympy_gcd_many([x1 + sigma, x2 + sigma]) is None
+
+    @pytest.mark.parametrize("num, den, want_num, want_den", [
+        ("(x1 - mu)*(x1 + x2)", "(sigma + 1)*(x1 + x2)", "x1 - mu", "sigma + 1"),
+        ("(x2 + sigma^2)*(3*mu + 2)", "2*(x2 + sigma^2)^2", "(3*mu + 2)/2", "x2 + sigma^2"),
+        ("(x1 + x2)*(sqrt(kappa1 + 2) + x1)", "(x1 + x2)^2", "sqrt(kappa1 + 2) + x1", "x1 + x2"),
+        ("(x1*sigma + mu/3)*sqrt(kappa1 + 2)*(kappa1 + 2)",
+         "(x1*sigma + mu/3)*(mu^2 + 1)", "(kappa1 + 2)^(3/2)", "mu^2 + 1"),
+    ])
+    def test_canonical_cancels_the_gcd(self, num, den, want_num, want_den):
+        def nf(text):
+            return algebra._to_nf(parse(text))
+
+        form = nf(num) / nf(den)
+        got = form.canonical()
+        want = nf(want_num) / nf(want_den)
+        assert got.num == want.num and got.den == want.den
+        assert got.den == nf(want_den).num.scale(1 / nf(want_den).num.leading()[1])

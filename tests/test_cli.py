@@ -144,6 +144,34 @@ class TestBca:
         assert f"{data}:4: not a number: 'abc'" in err
 
 
+    def test_cv_reads_only_data_and_statistic(self, capsys, tmp_path):
+        # the moment section would need mu != 0; the interval never reads it
+        cfg = tmp_path / "cv.cfg"
+        cfg.write_text("[statistic]\ng = sqrt(x2 - x1^2)/x1\npositive = x2 - x1^2\n"
+                       "[moments]\ndistribution = gaussian\n")
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(str(v) for v in [2.1, 3.4, 1.7, 2.9, 4.2, 2.5, 3.1, 1.9]))
+        code, out, err = run(capsys, "bca", "--stat", str(cfg), "--data", str(data),
+                             "--B", "1000", "--seed", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        values = [2.1, 3.4, 1.7, 2.9, 4.2, 2.5, 3.1, 1.9]
+        m1 = sum(values) / len(values)
+        m2 = sum(v * v for v in values) / len(values)
+        assert report["theta_hat"] == pytest.approx(math.sqrt(m2 - m1 * m1) / m1, rel=1e-12)
+        assert report["lower"] <= report["theta_hat"] <= report["upper"]
+        assert report["B"] == 1000
+
+    @pytest.mark.parametrize("option", [["--mode", "plain"], ["--moments", "gaussian"],
+                                        ["--mu", "1"], ["--sigma", "2"]])
+    def test_moment_options_are_usage_errors(self, capsys, tmp_path, option):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0\n2.0\n4.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bca", "--stat", "mean", "--data", str(data), "--seed", "1", *option])
+        assert exc.value.code == 2
+
+
 class TestExport:
     def test_mean_export_contains_gamma1_line(self, capsys, tmp_path):
         out_file = tmp_path / "results.txt"

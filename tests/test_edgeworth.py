@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from edgeboot.edgeworth import (
     scale_adjust,
 )
 from edgeboot import edgeworth
+from edgeboot.codegen import emit_assignments
 
 from naive_coeffs import cumulant_coeffs_naive
 
@@ -164,6 +166,28 @@ class TestRingMemo:
         accel_constant(m)
         assert len(memos) == 1
         assert edgeworth._model_ring(m) is m.ring_table
+
+
+class TestPinnedOutput:
+    def test_cv_over_symbolic_moments(self):
+        # every emitted item of cv = sqrt(x2 - x1^2)/x1 over symbolic moments,
+        # byte for byte: a change of canonical form shows up here
+        reg = KernelRegistry([ML_RADICAND])
+        m = build_model(parse("sqrt(x2 - x1^2)/x1", reg), Mode.NONSTUDENTIZED,
+                        symbolic_spec(8), kernels=reg)
+        k = cumulant_coeffs(m)
+        p1, p2 = edgeworth_polys(k)
+        p11, p21 = cornish_fisher_polys(p1, p2)
+        acc = accel_constant(m)
+        x = Sym("x")
+        text = emit_assignments([
+            ("A", acc.A_value), ("a", acc.a_over_sqrtn), ("k12", k.k12), ("k22", k.k22),
+            ("k31", k.k31), ("k41", k.k41), ("p1", p1.to_expr(x)), ("p2", p2.to_expr(x)),
+            ("p11", p11.to_expr(x)), ("p21", p21.to_expr(x)),
+        ]).encode()
+        assert len(text) == 42149
+        assert hashlib.sha256(text).hexdigest() == (
+            "4d07e0dab4dfd63771af7b3642647c922c877e5dae07c3eb18d56dbdede9debb")
 
 
 class TestPolynomials:
