@@ -66,7 +66,7 @@ class EvalError(AlgebraError):
 
 
 class DomainError(EvalError):
-    """Negative base under fractional power, or division by zero."""
+    """Negative base under fractional power, division by zero, or overflow."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +262,18 @@ def _eval_node(e: Expr, b: Bindings, memo: dict[int, Number]) -> Number:
             raise DomainError(f"negative base {base} under fractional power {q}")
         if base == 0 and q < 0:
             raise DomainError("division by zero")
-        return float(base) ** float(q) if q.denominator == 2 else float(base) ** q.numerator
+        try:
+            return float(base) ** float(q) if q.denominator == 2 else float(base) ** q.numerator
+        except OverflowError:
+            raise DomainError(f"{base} ^ ({q}) overflows a double") from None
     if isinstance(e, Exp):
         u = _eval(e.arg, b, memo)
-        return np.exp(u) if isinstance(u, np.ndarray) else math.exp(u)
+        if isinstance(u, np.ndarray):
+            return np.exp(u)
+        try:
+            return math.exp(u)
+        except OverflowError:
+            raise DomainError(f"exp({u}) overflows a double") from None
     if isinstance(e, NormCdf):
         return norm_cdf(_eval(e.arg, b, memo))
     if isinstance(e, NormPdf):
@@ -870,28 +878,38 @@ def _gen_to_expr(g: Gen) -> Expr:
 # normalize / sym_equal
 # ---------------------------------------------------------------------------
 
-def _to_nf(e: Expr) -> NormalForm:
+def _to_nf(e: Expr, memo: dict[int, NormalForm] | None = None) -> NormalForm:
+    """Lightly reduced normal form; shared subtrees are converted once.
+
+    ``memo`` is keyed by node id, so a memo kept across calls may only hold
+    nodes that outlive it."""
+    if memo is None:
+        memo = {}
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, Const):
-        return NormalForm.from_fraction(e.value)
-    if isinstance(e, Sym):
-        return NormalForm.sym(e.name)
-    if isinstance(e, Var):
-        return NormalForm.var(e.index)
-    if isinstance(e, Add):
-        total = _to_nf(e.terms[0])
+        out = NormalForm.from_fraction(e.value)
+    elif isinstance(e, Sym):
+        out = NormalForm.sym(e.name)
+    elif isinstance(e, Var):
+        out = NormalForm.var(e.index)
+    elif isinstance(e, Add):
+        out = _to_nf(e.terms[0], memo)
         for t in e.terms[1:]:
-            total = total + _to_nf(t)
-        return total
-    if isinstance(e, Mul):
-        prod = _to_nf(e.factors[0])
+            out = out + _to_nf(t, memo)
+    elif isinstance(e, Mul):
+        out = _to_nf(e.factors[0], memo)
         for f in e.factors[1:]:
-            prod = prod * _to_nf(f)
-        return prod
-    if isinstance(e, Pow):
-        return _to_nf(e.base).pow(e.exponent)
-    raise TranscendentalResidueError(
-        f"transcendental residue: {type(e).__name__} node cannot be normalized"
-    )
+            out = out * _to_nf(f, memo)
+    elif isinstance(e, Pow):
+        out = _to_nf(e.base, memo).pow(e.exponent)
+    else:
+        raise TranscendentalResidueError(
+            f"transcendental residue: {type(e).__name__} node cannot be normalized"
+        )
+    memo[id(e)] = out
+    return out
 
 
 def normalize(e: Expr) -> NormalForm:

@@ -24,6 +24,7 @@ from scipy.special import ndtri
 from .algebra import Bindings, eval_numeric, differentiate
 from .edgeworth import StatModel
 from .expr import ZERO, Expr, KernelRegistry, arity
+from .moments import powers
 
 _CHUNK = 256
 
@@ -59,12 +60,8 @@ def statistic_evaluator(model: StatModel | Statistic) -> StatFn:
         w = np.asarray(samples, dtype=float)
         if w.ndim == 1:
             w = w[None, :]
-        powers = {1: w.mean(axis=1)}
-        wp = w
-        for i in range(2, d + 1):
-            wp = wp * w
-            powers[i] = wp.mean(axis=1)
-        out = eval_numeric(g, Bindings(params, powers))
+        means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, d), start=1)}
+        out = eval_numeric(g, Bindings(params, means))
         return np.asarray(out, dtype=float).reshape(w.shape[0])
 
     return evaluate
@@ -169,9 +166,7 @@ def accel_plugin(data: Sequence[float], model: StatModel | Statistic) -> float:
     d = arity(model.g)
     point = {}
     centered = {}
-    wp = np.ones_like(w)
-    for i in range(1, d + 1):
-        wp = wp * w
+    for i, wp in enumerate(powers(w, d), start=1):
         point[i] = float(wp.mean())
         centered[i] = wp - point[i]
     env = Bindings(dict(model.params), point)

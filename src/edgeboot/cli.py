@@ -26,6 +26,7 @@ from .config import (
     statistic_from_config,
 )
 from .edgeworth import (
+    CumulantCoeffs,
     Mode,
     ModelError,
     Poly,
@@ -130,18 +131,16 @@ def _build_model(args) -> tuple[StatModel, FullConfig]:
     return model, cfg
 
 
-def _polys(model: StatModel) -> tuple[Poly, Poly, Poly, Poly]:
+def _polys(model: StatModel) -> tuple[CumulantCoeffs, Poly, Poly, Poly, Poly]:
     k = cumulant_coeffs(model)
     p1, p2 = edgeworth_polys(k)
     p11, p21 = cornish_fisher_polys(p1, p2)
-    return p1, p2, p11, p21
+    return k, p1, p2, p11, p21
 
 
 def _cmd_expand(args) -> int:
     model, _ = _build_model(args)
-    k = cumulant_coeffs(model)
-    p1, p2 = edgeworth_polys(k)
-    p11, p21 = cornish_fisher_polys(p1, p2)
+    k, p1, p2, p11, p21 = _polys(model)
     acc = accel_constant(model)
     report = {
         "k12": _fmt(k.k12),
@@ -173,7 +172,7 @@ def _cmd_accel(args) -> int:
 
 def _cmd_cdf(args) -> int:
     model, _ = _build_model(args)
-    p1, p2, _, _ = _polys(model)
+    _, p1, p2, _, _ = _polys(model)
     value = cdf_eval(p1, p2, Bindings(), args.n, args.x, order=args.order)
     _print_report({"x": args.x, "n": args.n, "order": args.order, "cdf": value},
                   args.format)
@@ -182,7 +181,7 @@ def _cmd_cdf(args) -> int:
 
 def _cmd_quantile(args) -> int:
     model, _ = _build_model(args)
-    _, _, p11, p21 = _polys(model)
+    _, _, _, p11, p21 = _polys(model)
     value = quantile_eval(p11, p21, Bindings(), args.n, args.alpha)
     _print_report({"alpha": args.alpha, "n": args.n, "quantile": value}, args.format)
     return 0
@@ -190,7 +189,7 @@ def _cmd_quantile(args) -> int:
 
 def _cmd_mc(args) -> int:
     model, cfg = _build_model(args)
-    p1, p2, _, _ = _polys(model)
+    _, p1, p2, _, _ = _polys(model)
     grid = parse_grid(args.grid or cfg.run.grid)
     mc = McConfig(
         distribution=args.dist,
@@ -244,9 +243,7 @@ def _cmd_bca(args) -> int:
 
 def _cmd_export(args) -> int:
     model, _ = _build_model(args)
-    k = cumulant_coeffs(model)
-    p1, p2 = edgeworth_polys(k)
-    p11, p21 = cornish_fisher_polys(p1, p2)
+    k, p1, p2, p11, p21 = _polys(model)
     acc = accel_constant(model)
     x = Sym("x")
     available: dict[str, Expr] = {

@@ -18,9 +18,7 @@ class CodegenError(Exception):
     pass
 
 
-def emit_assignments(pairs: list[tuple[str, Expr]], dialect: str = "generic-scalar") -> str:
-    if dialect != "generic-scalar":
-        raise CodegenError(f"unknown dialect {dialect!r}")
+def emit_assignments(pairs: list[tuple[str, Expr]]) -> str:
     lines = []
     for name, e in pairs:
         if not _IDENT_RE.match(name):

@@ -59,7 +59,7 @@ from .expr import (
 )
 from .moments import MomentSpec, MomentTable, MomentOrderError, raw_moment
 
-Value = Union[Expr, NormalForm, float]
+Value = Union[Expr, float]
 
 
 class ModelError(Exception):
@@ -102,9 +102,6 @@ class StatModel:
     @property
     def is_numeric(self) -> bool:
         return not self.spec.is_symbolic
-
-    def table(self) -> MomentTable:
-        return MomentTable(self.spec, self.dims)
 
 
 def _sorted_tuples(dims: int, order: int):
@@ -270,6 +267,21 @@ class _Ring:
             return v.is_zero
         return v == ZERO
 
+    def sum(self, terms):
+        acc = None
+        for t in terms:
+            acc = t if acc is None else acc + t
+        return acc if acc is not None else self.zero()
+
+    def convert(self, v, memo: dict):
+        """``v`` (an Expr, or a float for the float ring) as a ring value;
+        ``memo`` shares the normal forms of subtrees by node id."""
+        if self.kind == "float":
+            return float(v)
+        if self.kind == "nf":
+            return _to_nf(v, memo)
+        return v
+
     def finish(self, v) -> Value:
         """Canonicalize for storage in results (symbolic values as Exprs)."""
         if self.kind == "nf":
@@ -288,48 +300,20 @@ class _Ring:
 
 
 def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
-    """Choose the value ring and build converted derivative lookups.
+    """Choose the value ring and convert the derivative table into it.
 
     The table is converted once per model and kept on ``model.ring_table``;
     later calls (``cumulant_coeffs`` then ``accel_constant``) return it.
     """
     if model.ring_table is None:
-        model.ring_table = _convert_derivs(model)
+        ring = _Ring("float" if model.is_numeric else "nf")
+        memo: dict[int, NormalForm] = {}  # the derivatives it keys live on the model
+        try:
+            table = {t: ring.convert(v, memo) for t, v in model.deriv.items()}
+            model.ring_table = ring, table
+        except TranscendentalResidueError:
+            model.ring_table = _Ring("expr", model.kernels), dict(model.deriv)
     return model.ring_table
-
-
-def _convert_derivs(model: StatModel) -> tuple[_Ring, dict]:
-    if model.is_numeric:
-        return _Ring("float"), {t: float(v) for t, v in model.deriv.items()}
-    try:
-        memo: dict[int, NormalForm] = {}
-        conv = {t: _to_nf_memo(v, memo) for t, v in model.deriv.items()}
-        return _Ring("nf"), conv
-    except TranscendentalResidueError:
-        return _Ring("expr", model.kernels), dict(model.deriv)
-
-
-def _to_nf_memo(e: Expr, memo: dict) -> NormalForm:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    from .expr import Add, Mul, Pow
-
-    if isinstance(e, Add):
-        out = _to_nf_memo(e.terms[0], memo)
-        for t in e.terms[1:]:
-            out = out + _to_nf_memo(t, memo)
-    elif isinstance(e, Mul):
-        out = _to_nf_memo(e.factors[0], memo)
-        for f in e.factors[1:]:
-            out = out * _to_nf_memo(f, memo)
-    elif isinstance(e, Pow):
-        out = _to_nf_memo(e.base, memo).pow(e.exponent)
-    else:
-        out = _to_nf(e)
-    memo[key] = out
-    return out
 
 
 class _MomentView:
@@ -339,21 +323,36 @@ class _MomentView:
         self.table = table
         self.ring = ring
         self._cache: dict[tuple[int, ...], object] = {}
-        self._nf_memo: dict[int, NormalForm] = {}
+        self._memo: dict[int, NormalForm] = {}  # its moments live in cross_moment's cache
 
     def __call__(self, *indices: int):
         key = tuple(sorted(indices))
         got = self._cache.get(key)
         if got is None:
-            raw = self.table.get(key)
-            if self.ring.kind == "float":
-                got = float(raw)  # type: ignore[arg-type]
-            elif self.ring.kind == "nf":
-                got = _to_nf_memo(raw, self._nf_memo)  # type: ignore[arg-type]
-            else:
-                got = raw
-            self._cache[key] = got
+            got = self._cache[key] = self.ring.convert(self.table.get(key), self._memo)
         return got
+
+
+def _first_order(model: StatModel):
+    """What both contractions start from: the ring, the converted derivative
+    table, the moment view, the indices of the nonzero first derivatives,
+    S2 = sum a_i a_j mu_ij and A = sum a_i a_j a_k mu_ijk (k31's first term).
+    Each runs over sorted index tuples weighted by their multiplicity."""
+    ring, a = _model_ring(model)
+    M = _MomentView(MomentTable(model.spec, model.dims), ring)
+    D = model.dims
+    nonzero1 = [i for i in range(1, D + 1) if not ring.is_zero(a[(i,)])]
+    S2 = ring.sum(
+        Fraction(_multiplicity(t)) * (a[(t[0],)] * a[(t[1],)] * M(*t))
+        for t in _sorted_tuples(D, 2)
+        if t[0] in nonzero1 and t[1] in nonzero1
+    )
+    A = ring.sum(
+        Fraction(_multiplicity(t)) * (a[(t[0],)] * a[(t[1],)] * a[(t[2],)] * M(*t))
+        for t in _sorted_tuples(D, 3)
+        if all(i in nonzero1 for i in t)
+    )
+    return ring, a, M, nonzero1, S2, A
 
 
 @dataclass
@@ -364,34 +363,25 @@ class CumulantCoeffs:
     k41: Value
 
 
-def cumulant_coeffs(model: StatModel, spec: MomentSpec | None = None) -> CumulantCoeffs:
+def cumulant_coeffs(model: StatModel) -> CumulantCoeffs:
     """Symmetry-reduced evaluation of the four expansion coefficients.
 
     Derivative and moment symmetry are exploited through sorted-tuple
     lookups and vector/matrix contractions of the nested sums.  Cost in
     ring products, for D = ``model.dims``: S2, k12 and k31_t2 run over the
-    D^2/2 sorted pairs, k31_t1 and k41_t4 over the D^3/6 sorted triples, and
-    k41_t1 over the D^4/24 sorted quadruples.  The vectors B = mu2 . a1 and
-    C = a2 . B cost D^2 each, T costs D^3/2, and k22_t1, k22_t3 and the
+    D^2/2 sorted pairs, k31_t1 = A and k41_t4 over the D^3/6 sorted triples,
+    and k41_t1 over the D^4/24 sorted quadruples.  The vectors B = mu2 . a1
+    and C = a2 . B cost D^2 each, T costs D^3/2, and k22_t1, k22_t3 and the
     matrix N of k22_t2 cost D^3.  Given C,
     k41_t2 = 12 C . T costs D and k41_t3 = 12 C' mu2 C costs D^2/2.
     """
-    spec = spec or model.spec
-    ring, a = _model_ring(model)
-    M = _MomentView(MomentTable(spec, model.dims), ring)
+    ring, a, M, nonzero1, S2, A = _first_order(model)
     D = model.dims
     rng1 = range(1, D + 1)
+    _sum = ring.sum
 
     def a1(i):
         return a[(i,)]
-
-    nonzero1 = [i for i in rng1 if not ring.is_zero(a1(i))]
-
-    def _sum(terms):
-        acc = None
-        for t in terms:
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else ring.zero()
 
     # B_j = sum_i a_i mu_ij
     B = {
@@ -403,28 +393,16 @@ def cumulant_coeffs(model: StatModel, spec: MomentSpec | None = None) -> Cumulan
     triples = [(t, _multiplicity(t)) for t in _sorted_tuples(D, 3)]
     quads = [(t, _multiplicity(t)) for t in _sorted_tuples(D, 4)]
 
-    # sigma^2 of the normalized statistic (equals 1 in exact arithmetic)
-    S2 = _sum(
-        Fraction(m) * (a1(i) * a1(j) * M(i, j))
-        for (i, j), m in pairs
-        if not (ring.is_zero(a1(i)) or ring.is_zero(a1(j)))
-    )
-
     k12 = Fraction(1, 2) * _sum(
         Fraction(m) * (a[t] * M(*t)) for t, m in pairs if not ring.is_zero(a[t])
     )
 
-    k31_t1 = _sum(
-        Fraction(m) * (a1(i) * a1(j) * a1(k) * M(i, j, k))
-        for (i, j, k), m in triples
-        if i in nonzero1 and j in nonzero1 and k in nonzero1
-    )
     k31_t2 = _sum(
         Fraction(3 * m) * (a[t] * B[t[0]] * B[t[1]])
         for t, m in pairs
         if not ring.is_zero(a[t])
     )
-    k31 = k31_t1 + k31_t2
+    k31 = A + k31_t2
 
     k22_t1 = _sum(
         a1(i) * _sum(
@@ -588,26 +566,15 @@ class Poly:
                     c = _to_nf(c).canonical().to_expr()
                 except TranscendentalResidueError:
                     pass
-            elif isinstance(c, NormalForm):
-                c = c.canonical().to_expr()
             out.append(c)
         return Poly(tuple(out))
-
-
-def _value_for_poly(v: Value) -> Value:
-    if isinstance(v, NormalForm):
-        return v.canonical().to_expr()
-    return v
 
 
 def edgeworth_polys(k: CumulantCoeffs) -> tuple[Poly, Poly]:
     """p1(x) = -(k12 + k31 (x^2-1)/6);
     p2(x) = -x ((k22+k12^2)/2 + (k41+4 k12 k31)(x^2-3)/24
             + k31^2 (x^4-10x^2+15)/72)."""
-    k12 = _value_for_poly(k.k12)
-    k22 = _value_for_poly(k.k22)
-    k31 = _value_for_poly(k.k31)
-    k41 = _value_for_poly(k.k41)
+    k12, k22, k31, k41 = k.k12, k.k22, k.k31, k.k41
     c_a = Fraction(1, 2) * (k22 + k12 * k12)
     c_b = Fraction(1, 24) * (k41 + Fraction(4) * (k12 * k31))
     c_c = Fraction(1, 72) * (k31 * k31)
@@ -649,34 +616,11 @@ class AccelResult:
     a_over_sqrtn: Value  # divide by sqrt(n) at use time
 
 
-def accel_constant(model: StatModel, spec: MomentSpec | None = None) -> AccelResult:
+def accel_constant(model: StatModel) -> AccelResult:
     """A = sum a_i a_j a_k mu_ijk over first derivatives; a = A/(6 sigma^3 sqrt(n))
     with sigma^2 = sum a_i a_j mu_ij from the same derivative set."""
-    spec = spec or model.spec
-    ring, a = _model_ring(model)
-    M = _MomentView(MomentTable(spec, model.dims), ring)
-    D = model.dims
-    nonzero1 = [i for i in range(1, D + 1) if not ring.is_zero(a[(i,)])]
-    if not nonzero1:
-        raise ModelError("zero asymptotic variance in acceleration constant")
-
-    def _sum(terms):
-        acc = None
-        for t in terms:
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else ring.zero()
-
-    S2 = _sum(
-        Fraction(_multiplicity(t)) * (a[(t[0],)] * a[(t[1],)] * M(*t))
-        for t in _sorted_tuples(D, 2)
-        if t[0] in nonzero1 and t[1] in nonzero1
-    )
-    A = _sum(
-        Fraction(_multiplicity(t)) * (a[(t[0],)] * a[(t[1],)] * a[(t[2],)] * M(*t))
-        for t in _sorted_tuples(D, 3)
-        if all(i in nonzero1 for i in t)
-    )
-    if ring.kind == "float" and (not math.isfinite(S2) or S2 <= 0):
+    ring, _, _, nonzero1, S2, A = _first_order(model)
+    if not nonzero1 or (ring.kind == "float" and (not math.isfinite(S2) or S2 <= 0)):
         raise ModelError("zero asymptotic variance in acceleration constant")
     sigma3 = ring.sqrt32(S2)
     a_over = A / (Fraction(6) * sigma3)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import Bindings, eval_numeric, norm_cdf
 from .edgeworth import Poly, StatModel, cdf_eval
+from .moments import powers
 from .rearrange import Curve, clip01, is_nondecreasing, rearrange_increasing
 
 _CHUNK_ROWS = 65536
@@ -100,13 +101,9 @@ def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarr
         rows = min(_CHUNK_ROWS, cfg.reps - produced)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_index]))
         w = _draw(cfg, rng, rows)
-        powers = {1: w.mean(axis=1)}
-        wp = w
-        for i in range(2, dims + 1):
-            wp = wp * w
-            powers[i] = wp.mean(axis=1)
+        means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, dims), start=1)}
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            vals = eval_numeric(model.a_expr, Bindings(dict(model.params), powers))
+            vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
         vals = sqrt_n * np.asarray(vals, dtype=float)
         keep = vals[np.isfinite(vals)]
         excluded += vals.size - keep.size

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .expr import Expr, ZERO, add, const, mul, pow_, sym
+from .expr import Expr, ZERO, add, const, sym
 
 Value = Union[Expr, float]
 
@@ -143,38 +143,38 @@ def empirical_spec(sample: Sequence[float], K: int) -> MomentSpec:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _ring_values(spec: MomentSpec) -> tuple[Value, Value, list[Value], Value]:
+    """mean, scale, m[0..K] and zero: all Exprs for a symbolic spec, all
+    floats otherwise (converted once per spec)."""
+    if spec.is_symbolic:
+        def conv(v: Value) -> Value:
+            return v if isinstance(v, Expr) else const(Fraction(v))
+
+        zero: Value = ZERO
+    else:
+        conv, zero = float, 0.0
+    return conv(spec.mean), conv(spec.scale), [conv(m) for m in spec.std_moments], zero
+
+
+@lru_cache(maxsize=None)
 def raw_moment(spec: MomentSpec, i: int) -> Value:
     """E[W^i] = sum_j C(i,j) m_j sigma^j mu^(i-j)."""
     if i < 0:
         raise MomentError("raw moment order must be >= 0")
     if i > spec.K:
         raise MomentOrderError(f"raw moment order {i} exceeds K={spec.K}")
-    if spec.is_symbolic:
-        terms = []
-        for j in range(i + 1):
-            mj = spec.m(j)
-            mj_expr = mj if isinstance(mj, Expr) else const(Fraction(mj))
-            if mj_expr == ZERO:
-                continue
-            terms.append(
-                mul(
-                    const(math.comb(i, j)),
-                    mj_expr,
-                    pow_(_as_expr(spec.scale), Fraction(j)),
-                    pow_(_as_expr(spec.mean), Fraction(i - j)),
-                )
-            )
-        return add(*terms) if terms else ZERO
-    total = 0.0
-    mu = float(spec.mean)  # type: ignore[arg-type]
-    sigma = float(spec.scale)  # type: ignore[arg-type]
+    mu, sigma, m, total = _ring_values(spec)
     for j in range(i + 1):
-        total += math.comb(i, j) * float(spec.m(j)) * sigma**j * mu ** (i - j)
+        total = total + math.comb(i, j) * m[j] * sigma**j * mu ** (i - j)
     return total
 
 
-def _as_expr(v: Value) -> Expr:
-    return v if isinstance(v, Expr) else const(Fraction(v))
+def powers(w: np.ndarray, d: int) -> Iterator[np.ndarray]:
+    """w, w*w, ..., the first d powers of w by repeated products."""
+    wp = None
+    for _ in range(d):
+        wp = w if wp is None else wp * w
+        yield wp
 
 
 @lru_cache(maxsize=None)
@@ -198,27 +198,14 @@ def cross_moment(spec: MomentSpec, indices: tuple[int, ...]) -> Value:
         )
     j = len(key)
     positions = tuple(range(j))
-    if spec.is_symbolic:
-        acc_terms = []
-        for r in range(j + 1):
-            for subset in combinations(positions, r):
-                inside = sum(key[p] for p in subset)
-                sign = (-1) ** (j - r)
-                factors = [const(sign), _as_expr(raw_moment(spec, inside))]
-                for p in positions:
-                    if p not in subset:
-                        factors.append(_as_expr(raw_moment(spec, key[p])))
-                acc_terms.append(mul(*factors))
-        return add(*acc_terms)
-    acc = 0.0
+    *_, acc = _ring_values(spec)
     for r in range(j + 1):
         for subset in combinations(positions, r):
-            inside = sum(key[p] for p in subset)
-            term = float((-1) ** (j - r)) * float(raw_moment(spec, inside))
+            term = (-1) ** (j - r) * raw_moment(spec, sum(key[p] for p in subset))
             for p in positions:
                 if p not in subset:
-                    term *= float(raw_moment(spec, key[p]))
-            acc += term
+                    term = term * raw_moment(spec, key[p])
+            acc = acc + term
     return acc
 
 

@@ -8,18 +8,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from edgeboot.edgeworth import CumulantCoeffs, StatModel, _model_ring, _MomentView
-from edgeboot.moments import MomentSpec, MomentTable
+from edgeboot.moments import MomentTable
 
 
-def cumulant_coeffs_naive(model: StatModel, spec: MomentSpec | None = None) -> CumulantCoeffs:
+def cumulant_coeffs_naive(model: StatModel) -> CumulantCoeffs:
     """Literal nested-loop reference evaluator of the coefficient formulas.
 
     Kept as an independent oracle for the symmetry-reduced implementation;
     intended for numeric specs (full six-deep loops).
     """
-    spec = spec or model.spec
     ring, a = _model_ring(model)
-    M = _MomentView(MomentTable(spec, model.dims), ring)
+    M = _MomentView(MomentTable(model.spec, model.dims), ring)
     D = model.dims
     rng1 = range(1, D + 1)
 

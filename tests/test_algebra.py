@@ -230,6 +230,15 @@ class TestEvalNumeric:
     def test_pi_bound_automatically(self):
         assert abs(eval_numeric(Sym("pi"), Bindings()) - math.pi) < 1e-16
 
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^exp\(1000\.0\) overflows a double$"):
+            eval_numeric(Exp(Var(1)), Bindings({}, {1: 1000.0}))
+        with pytest.raises(DomainError, match=r"^1e\+200 \^ \(3\) overflows a double$"):
+            eval_numeric(pow_(Var(1), 3), Bindings({}, {1: 1e200}))
+        reg = KernelRegistry([Var(1)])
+        with pytest.raises(DomainError, match=r"\^ \(3/2\) overflows"):
+            eval_numeric(pow_(Var(1), Fraction(3, 2), reg), Bindings({}, {1: 1e300}))
+
 
 class TestSymEqual:
     def test_mean_p21_expanded_form(self):

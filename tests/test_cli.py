@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -172,6 +173,36 @@ class TestBca:
         assert exc.value.code == 2
 
 
+class TestPinnedOutput:
+    # the resample path byte for byte: a changed draw, power mean, ECDF or
+    # float rounding shows up here (recorded before the power-mean loops and
+    # the moment formulas were folded)
+    def test_mc_csv(self, capsys, tmp_path):
+        out_file = tmp_path / "mc.csv"
+        code, _, err = run(capsys, "mc", "--stat", "variance", "--mode", "studentized",
+                           "--moments", "gaussian", "--seed", "3", "--n", "10",
+                           "--reps", "20000", "--grid=-3:3:0.05", "--out", str(out_file))
+        assert (code, err) == (0, "")
+        data = out_file.read_bytes()
+        assert len(data) == 15821
+        assert hashlib.sha256(data).hexdigest() == (
+            "399010bacf44154a2597759491a443a4bb963268a91d74077140467d8d672fa4")
+
+    def test_bca_json(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("value\n" + "\n".join(
+            str(v) for v in [1.2, 0.7, -0.3, 2.2, 1.9, 0.1, -1.0, 0.4, 1.1, 0.8, 2.6, -0.4]
+        ))
+        out_file = tmp_path / "bca.json"
+        code, _, err = run(capsys, "bca", "--stat", "ml_symmetric", "--data", str(data),
+                           "--B", "999", "--seed", "11", "--out", str(out_file))
+        assert (code, err) == (0, "")
+        text = out_file.read_bytes()
+        assert len(text) == 296
+        assert hashlib.sha256(text).hexdigest() == (
+            "54db1629be1a1a6ccd456b4e564f3b476eae7601c5687eb4b09982580fa48b33")
+
+
 class TestExport:
     def test_mean_export_contains_gamma1_line(self, capsys, tmp_path):
         out_file = tmp_path / "results.txt"
@@ -199,6 +230,14 @@ class TestErrors:
         code, _, err = run(capsys, "expand", "--stat", "no_such_file.cfg")
         assert code == 1
         assert "error:" in err
+
+    def test_overflow_is_one_error_line(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[statistic]\ng = exp(x1)\n[moments]\n"
+                       "distribution = gaussian\nmu = 1000\n")
+        code, out, err = run(capsys, "expand", "--stat", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: exp(1000.0) overflows a double\n"
 
     def test_bad_quantile_level(self, capsys):
         code, _, err = run(capsys, "quantile", "--stat", "mean", "--moments",

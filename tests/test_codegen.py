@@ -72,10 +72,6 @@ class TestEmit:
         with pytest.raises(CodegenError):
             emit_assignments([("2bad", Sym("x"))])
 
-    def test_unknown_dialect(self):
-        with pytest.raises(CodegenError):
-            emit_assignments([("a", Sym("x"))], dialect="fortran")
-
 
 def _regex_spacing(text):
     # the two passes the emitter used before plain replacement, kept as the

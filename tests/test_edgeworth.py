@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -151,20 +152,28 @@ class TestNaiveAgreement:
 
 class TestRingMemo:
     def test_derivatives_converted_once(self, monkeypatch):
+        # the derivative table is converted by one _to_nf memo, once per model:
+        # accel_constant after cumulant_coeffs converts no derivative again
         m = build_model(parse("x2 - x1^2"), Mode.NONSTUDENTIZED, symbolic_spec(8))
         deriv_ids = {id(v) for v in m.deriv.values()}
+        calls = Counter()
         memos = []  # kept alive, so their ids stay distinct
-        real = edgeworth._to_nf_memo
+        real = edgeworth._to_nf
 
-        def counting(e, memo):
-            if id(e) in deriv_ids and not any(memo is seen for seen in memos):
-                memos.append(memo)
+        def counting(e, memo=None):
+            if id(e) in deriv_ids:
+                calls[id(e)] += 1
+                if not any(memo is seen for seen in memos):
+                    memos.append(memo)
             return real(e, memo)
 
-        monkeypatch.setattr(edgeworth, "_to_nf_memo", counting)
+        monkeypatch.setattr(edgeworth, "_to_nf", counting)
         cumulant_coeffs(m)
         accel_constant(m)
-        assert len(memos) == 1
+        assert len(memos) == 1 and memos[0] is not None
+        # one call per table entry (entries may share a node, such as ZERO)
+        assert set(calls) == deriv_ids
+        assert sum(calls.values()) == len(m.deriv)
         assert edgeworth._model_ring(m) is m.ring_table
 
 

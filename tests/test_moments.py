@@ -1,20 +1,24 @@
 import math
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from edgeboot.algebra import normalize, substitute
-from edgeboot.expr import Sym, ZERO, parse
+from edgeboot.expr import Expr, Sym, ZERO, add, const, mul, parse, pow_
 from edgeboot.moments import (
     DegenerateSampleError,
     MomentError,
     MomentOrderError,
+    MomentSpec,
     MomentTable,
     cross_moment,
     empirical_spec,
     exponential_spec,
     gaussian_spec,
+    powers,
     raw_moment,
     spec_from_config,
     symbolic_spec,
@@ -221,3 +225,142 @@ class TestReadColumn:
         f.write_text(text)
         with pytest.raises(MomentError, match=f"^{f}: no values$"):
             _read_column(str(f))
+
+
+# The two-branch raw_moment/cross_moment (separate Expr and float code) that
+# the one-formula versions replaced, kept verbatim as their reference.
+
+@lru_cache(maxsize=None)
+def _raw_moment_two_branch(spec: MomentSpec, i: int):
+    """E[W^i] = sum_j C(i,j) m_j sigma^j mu^(i-j)."""
+    if i < 0:
+        raise MomentError("raw moment order must be >= 0")
+    if i > spec.K:
+        raise MomentOrderError(f"raw moment order {i} exceeds K={spec.K}")
+    if spec.is_symbolic:
+        terms = []
+        for j in range(i + 1):
+            mj = spec.m(j)
+            mj_expr = mj if isinstance(mj, Expr) else const(Fraction(mj))
+            if mj_expr == ZERO:
+                continue
+            terms.append(
+                mul(
+                    const(math.comb(i, j)),
+                    mj_expr,
+                    pow_(_as_expr(spec.scale), Fraction(j)),
+                    pow_(_as_expr(spec.mean), Fraction(i - j)),
+                )
+            )
+        return add(*terms) if terms else ZERO
+    total = 0.0
+    mu = float(spec.mean)  # type: ignore[arg-type]
+    sigma = float(spec.scale)  # type: ignore[arg-type]
+    for j in range(i + 1):
+        total += math.comb(i, j) * float(spec.m(j)) * sigma**j * mu ** (i - j)
+    return total
+
+
+def _as_expr(v) -> Expr:
+    return v if isinstance(v, Expr) else const(Fraction(v))
+
+
+@lru_cache(maxsize=None)
+def _cross_moment_two_branch(spec: MomentSpec, indices: tuple[int, ...]):
+    """mu_{i1..ij} = E[prod_k (W^{i_k} - E W^{i_k})], 2 <= j <= 4.
+
+    Expanded by inclusion-exclusion into raw moments; symmetric in the
+    indices (memoized on the sorted tuple).
+    """
+    if not 2 <= len(indices) <= 4:
+        raise MomentError("cross moments take 2 to 4 indices")
+    if any(i < 1 for i in indices):
+        raise MomentError("indices must be >= 1")
+    key = tuple(sorted(indices))
+    if key != indices:
+        return _cross_moment_two_branch(spec, key)
+    total_order = sum(key)
+    if total_order > spec.K:
+        raise MomentOrderError(
+            f"cross moment of total order {total_order} exceeds K={spec.K}"
+        )
+    j = len(key)
+    positions = tuple(range(j))
+    if spec.is_symbolic:
+        acc_terms = []
+        for r in range(j + 1):
+            for subset in combinations(positions, r):
+                inside = sum(key[p] for p in subset)
+                sign = (-1) ** (j - r)
+                factors = [const(sign), _as_expr(_raw_moment_two_branch(spec, inside))]
+                for p in positions:
+                    if p not in subset:
+                        factors.append(_as_expr(_raw_moment_two_branch(spec, key[p])))
+                acc_terms.append(mul(*factors))
+        return add(*acc_terms)
+    acc = 0.0
+    for r in range(j + 1):
+        for subset in combinations(positions, r):
+            inside = sum(key[p] for p in subset)
+            term = float((-1) ** (j - r)) * float(_raw_moment_two_branch(spec, inside))
+            for p in positions:
+                if p not in subset:
+                    term *= float(_raw_moment_two_branch(spec, key[p]))
+            acc += term
+    return acc
+
+
+def _same(got, want) -> bool:
+    """Exact equality: equal Expr trees, or floats with the same bits."""
+    if isinstance(want, Expr):
+        return isinstance(got, Expr) and got == want
+    return type(got) is float and type(want) is float and got.hex() == want.hex()
+
+
+_K = 12
+_FOLD_SPECS = {
+    "symbolic": symbolic_spec(_K),
+    "gaussian_sym_mu": gaussian_spec(Sym("mu"), 1.0, _K),
+    "gaussian_sym_mu_sigma": gaussian_spec(Sym("mu"), Sym("sigma"), _K),
+    "gaussian_0.3_2.0": gaussian_spec(0.3, 2.0, _K),
+    "gaussian_-1.7_0.4": gaussian_spec(-1.7, 0.4, _K),
+    "exponential_2.0": exponential_spec(2.0, _K),
+    "empirical": empirical_spec([0.31, -1.2, 2.7, 0.05, 1.9, -0.44, 3.3, 0.8, -2.1], _K),
+}
+
+
+class TestOneFormula:
+    """raw_moment and cross_moment run one formula over Expr or float values;
+    every order and index tuple up to K equals the two-branch reference."""
+
+    @pytest.mark.parametrize("name", list(_FOLD_SPECS))
+    def test_raw_moments(self, name):
+        spec = _FOLD_SPECS[name]
+        for i in range(spec.K + 1):
+            got, want = raw_moment(spec, i), _raw_moment_two_branch(spec, i)
+            assert _same(got, want), (name, i)
+
+    @pytest.mark.parametrize("name", list(_FOLD_SPECS))
+    def test_cross_moments(self, name):
+        spec = _FOLD_SPECS[name]
+        count = 0
+        for j in (2, 3, 4):
+            for t in combinations_with_replacement(range(1, spec.K + 1), j):
+                if sum(t) <= spec.K:
+                    got, want = cross_moment(spec, t), _cross_moment_two_branch(spec, t)
+                    assert _same(got, want), (name, t)
+                    count += 1
+        assert count == 142  # index tuples of 2 to 4 entries with sum <= 12
+
+
+class TestPowers:
+    def test_repeated_products(self):
+        w = np.array([[0.3, -1.7, 2.0], [1e-3, 4.5, -0.2]])
+        got = list(powers(w, 4))
+        want = [w, w * w, w * w * w, w * w * w * w]
+        assert len(got) == 4
+        for g, e in zip(got, want):
+            assert g.tobytes() == e.tobytes()
+
+    def test_no_powers(self):
+        assert list(powers(np.ones(3), 0)) == []
