@@ -286,12 +286,19 @@ def _eval_node(e: Expr, b: Bindings, memo: dict[int, Number]) -> Number:
 #
 # Generators are tagged tuples:  (0, i) variable x_i, (1, name) symbol,
 # (2, radicand_key) kernel.  A monomial is a tuple of (gen, exp) pairs
-# sorted by generator; a polynomial maps monomials to Fraction coefficients.
+# sorted by generator; a polynomial maps monomials to rational coefficients,
+# each an int when integral and a Fraction otherwise (see MPoly).
 # ---------------------------------------------------------------------------
 
 Gen = tuple
 Monomial = tuple
 EMPTY_MONO: Monomial = ()
+Coeff = Union[int, Fraction]
+
+
+def _norm(c: Coeff) -> Coeff:
+    """An integral coefficient as an int; any other stays a Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_key(m: Monomial):
@@ -331,7 +338,13 @@ def _mono_div(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 
 class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
+
+    Each coefficient is nonzero, an ``int`` when it is integral and a
+    ``Fraction`` otherwise, so integer products skip Fraction arithmetic.
+    ``int`` and ``Fraction`` compare and hash equal, so keys and lookups see
+    no difference; coefficient division goes through ``Fraction``, since
+    ``int / int`` is a float.
 
     A product accumulates its term products into one dict, so it costs one
     pass over the |a|*|b| term pairs.  Those with a squared or a second
@@ -341,16 +354,16 @@ class MPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, Coeff] | None = None):
         self.terms = terms if terms is not None else {}
 
     @staticmethod
-    def constant(c: Fraction) -> "MPoly":
-        return MPoly({EMPTY_MONO: Fraction(c)}) if c != 0 else MPoly()
+    def constant(c: Coeff) -> "MPoly":
+        return MPoly({EMPTY_MONO: _norm(c)}) if c != 0 else MPoly()
 
     @staticmethod
     def gen(g: Gen) -> "MPoly":
-        return MPoly({((g, 1),): Fraction(1)})
+        return MPoly({((g, 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -373,16 +386,16 @@ class MPoly:
 
     @staticmethod
     def from_key(key: tuple) -> "MPoly":
-        return MPoly({m: Fraction(n, d) for m, (n, d) in key})
+        return MPoly({m: n if d == 1 else Fraction(n, d) for m, (n, d) in key})
 
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
-                out[m] = s
+                out[m] = _norm(s)
         return MPoly(out)
 
     def __neg__(self) -> "MPoly":
@@ -391,23 +404,23 @@ class MPoly:
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
-    def scale(self, c: Fraction) -> "MPoly":
+    def scale(self, c: Coeff) -> "MPoly":
         if c == 0:
             return MPoly()
-        return MPoly({m: v * c for m, v in self.terms.items()})
+        return MPoly({m: _norm(v * c) for m, v in self.terms.items()})
 
-    def mono_scale(self, mono: Monomial, c: Fraction) -> "MPoly":
-        out: dict[Monomial, Fraction] = {}
+    def mono_scale(self, mono: Monomial, c: Coeff) -> "MPoly":
+        out: dict[Monomial, Coeff] = {}
         for m, v in self.terms.items():
-            out[_mono_mul(m, mono)] = v * c
+            out[_mono_mul(m, mono)] = _norm(v * c)
         return MPoly(out)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         # term products that need _reduce_kernels, as plain parts summed per
         # kernel part; kernels sort last, so a monomial needs reduction only
         # for a squared last kernel or a kernel before the last one
-        buckets: dict[Monomial, dict[Monomial, Fraction]] = {}
+        buckets: dict[Monomial, dict[Monomial, Coeff]] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
@@ -434,17 +447,17 @@ class MPoly:
                 continue
             # a kernel-free group times at most one unreduced kernel: this
             # product fills no buckets of its own
-            for m, c in (group * _reduce_kernels(kpart, Fraction(1))).terms.items():
+            for m, c in (group * _reduce_kernels(kpart, 1)).terms.items():
                 if m in out:
                     out[m] += c
                 else:
                     out[m] = c
-        return MPoly({m: c for m, c in out.items() if c != 0})
+        return MPoly({m: _norm(c) for m, c in out.items() if c != 0})
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        result = MPoly.constant(Fraction(1))
+        result = MPoly.constant(1)
         base = self
         while n:
             if n & 1:
@@ -454,8 +467,10 @@ class MPoly:
         return result
 
     def leading(self) -> tuple[Monomial, Fraction]:
+        """Leading term under ``_mono_key``; the coefficient as a Fraction,
+        so that callers may divide by it."""
         m = max(self.terms, key=_mono_key)
-        return m, self.terms[m]
+        return m, Fraction(self.terms[m])
 
     def content(self) -> Fraction:
         """Positive rational content; sign carried by the leading coefficient."""
@@ -481,13 +496,13 @@ class MPoly:
             return MPoly()
         if len(g.terms) == 1:
             (gm, gc), = g.terms.items()
-            inv = 1 / gc
-            q: dict[Monomial, Fraction] = {}
+            inv = _norm(1 / Fraction(gc))
+            q: dict[Monomial, Coeff] = {}
             for m, c in self.terms.items():
                 mq = _mono_div(m, gm)
                 if mq is None:
                     return None
-                q[mq] = c * inv
+                q[mq] = _norm(c * inv)
             return MPoly(q)
         gm = max(g.terms, key=_grlex_key)
         gc = g.terms[gm]
@@ -499,8 +514,8 @@ class MPoly:
             mq = _mono_div(rm, gm)
             if mq is None:
                 return None
-            cq = rc / gc
-            q[mq] = q.get(mq, Fraction(0)) + cq
+            cq = _norm(Fraction(rc) / gc)
+            q[mq] = _norm(q.get(mq, 0) + cq)
             r = r - g.mono_scale(mq, cq)
         return MPoly(q)
 
@@ -511,8 +526,9 @@ class MPoly:
         return {g for m in self.terms for g, _ in m}
 
 
-def _reduce_kernels(m: Monomial, c: Fraction) -> MPoly:
+def _reduce_kernels(m: Monomial, c: Coeff) -> MPoly:
     """Rewrite kernel powers: s^2 -> radicand; merge distinct kernels."""
+    c = _norm(c)
     kernel_items = [(g, e) for g, e in m if g[0] == 2]
     if not (any(e >= 2 for _, e in kernel_items) or len(kernel_items) >= 2):
         return MPoly({m: c})
@@ -526,7 +542,7 @@ def _reduce_kernels(m: Monomial, c: Fraction) -> MPoly:
         if odd:
             odd_gens.append(g)
     if len(odd_gens) == 1:
-        out = out.mono_scale(((odd_gens[0], 1),), Fraction(1))
+        out = out.mono_scale(((odd_gens[0], 1),), 1)
     elif len(odd_gens) > 1:
         rad = MPoly.from_key(odd_gens[0][1])
         for g in odd_gens[1:]:
@@ -580,13 +596,13 @@ def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
         if e_min >= 2:
             extracted.append((g, e_min // 2))
     if extracted:
-        divisor = MPoly({tuple((g, 2 * h) for g, h in extracted): Fraction(1)})
+        divisor = MPoly({tuple((g, 2 * h) for g, h in extracted): 1})
         q = prim.divexact(divisor)
         assert q is not None
         prim = q
     mono = tuple(extracted)
-    radicand = prim.scale(Fraction(rad_const))
-    if radicand == MPoly.constant(Fraction(1)):
+    radicand = prim.scale(rad_const)
+    if radicand == MPoly.constant(1):
         return coeff, mono, EMPTY_MONO
     kernel_gen: Gen = (2, radicand.key())
     return coeff, mono, ((kernel_gen, 1),)
@@ -596,7 +612,7 @@ def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
 # Normal forms
 # ---------------------------------------------------------------------------
 
-_UNIT = {EMPTY_MONO: Fraction(1)}  # terms of the constant polynomial 1
+_UNIT = {EMPTY_MONO: 1}  # terms of the constant polynomial 1
 
 
 class NormalForm:
@@ -612,7 +628,7 @@ class NormalForm:
 
     def __init__(self, num: MPoly, den: MPoly | None = None, *, reduce: bool = True):
         if den is None:
-            den = MPoly.constant(Fraction(1))
+            den = MPoly.constant(1)
         if den.is_zero:
             raise AlgebraError("zero denominator")
         if den.has_kernels():
@@ -641,7 +657,7 @@ class NormalForm:
     def _light_reduce(self) -> None:
         num, den = self.num, self.den
         if num.is_zero:
-            self.den = MPoly.constant(Fraction(1))
+            self.den = MPoly.constant(1)
             return
         if den.terms == _UNIT:
             return  # no monomial to share, already monic
@@ -660,7 +676,7 @@ class NormalForm:
                     break
         if shared:
             mono = tuple(sorted(shared.items()))
-            divisor = MPoly({mono: Fraction(1)})
+            divisor = MPoly({mono: 1})
             num = num.divexact(divisor) or num
             den = den.divexact(divisor) or den
         # monic denominator
@@ -673,9 +689,9 @@ class NormalForm:
     def canonical(self) -> "NormalForm":
         """Fully cancelled form (polynomial gcd via sympy)."""
         if self.num.is_zero:
-            return NormalForm(MPoly(), MPoly.constant(Fraction(1)), reduce=False)
+            return NormalForm(MPoly(), MPoly.constant(1), reduce=False)
         den = self.den
-        if den == MPoly.constant(Fraction(1)):
+        if den == MPoly.constant(1):
             return self
         parts = _kernel_parts(self.num)
         g = _sympy_gcd_many([den, *parts.values()])
@@ -686,7 +702,7 @@ class NormalForm:
                 if all(v is not None for v in qs.values()):
                     num = MPoly()
                     for kmono, p in qs.items():
-                        num = num + p.mono_scale(kmono, Fraction(1))  # type: ignore[union-attr]
+                        num = num + p.mono_scale(kmono, 1)  # type: ignore[union-attr]
                     return NormalForm(num, qd)
         return NormalForm(self.num, self.den)
 
@@ -764,13 +780,13 @@ class NormalForm:
         # sqrt(num/den) = sqrt(num*den)/den; denominators arising here are
         # positive (powers of scale symbols and positive radicands)
         coeff, mono, kern = _sqrt_poly(self.num * self.den)
-        return NormalForm(MPoly({_mono_mul(mono, kern): coeff}), self.den)
+        return NormalForm(MPoly({_mono_mul(mono, kern): _norm(coeff)}), self.den)
 
     # -- conversion --------------------------------------------------------
 
     def to_expr(self) -> Expr:
         num = _poly_to_expr(self.num)
-        if self.den == MPoly.constant(Fraction(1)):
+        if self.den == MPoly.constant(1):
             return num
         return num / _poly_to_expr(self.den)
 
@@ -791,9 +807,9 @@ def _rationalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     kernel_gens = sorted({g for m in den.terms for g, e in m if g[0] == 2 and e % 2})
     if not kernel_gens:
         # only even kernel powers: reduction during multiplication clears them
-        clear = MPoly.constant(Fraction(1))
+        clear = MPoly.constant(1)
     else:
-        clear = MPoly({tuple((g, 1) for g in kernel_gens): Fraction(1)})
+        clear = MPoly({tuple((g, 1) for g in kernel_gens): 1})
     num2 = num * clear
     den2 = den * clear
     if den2.has_kernels():
@@ -848,7 +864,7 @@ def _sympy_gcd_many(polys: list[MPoly]) -> MPoly | None:
             return None
     return MPoly({
         tuple((g, e) for g, e in zip(gens, exps) if e):
-            Fraction(int(c.numerator), int(c.denominator))
+            _norm(Fraction(int(c.numerator), int(c.denominator)))
         for exps, c in acc.terms()
     })
 

@@ -96,8 +96,8 @@ class StatModel:
     spec: MomentSpec
     params: dict[str, float]
     kernels: KernelRegistry
-    # (ring, derivative table in that ring), filled by the first _model_ring call
-    ring_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # what cumulant_coeffs and accel_constant share, filled by the first _first_order call
+    first_order: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_numeric(self) -> bool:
@@ -300,20 +300,13 @@ class _Ring:
 
 
 def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
-    """Choose the value ring and convert the derivative table into it.
-
-    The table is converted once per model and kept on ``model.ring_table``;
-    later calls (``cumulant_coeffs`` then ``accel_constant``) return it.
-    """
-    if model.ring_table is None:
-        ring = _Ring("float" if model.is_numeric else "nf")
-        memo: dict[int, NormalForm] = {}  # the derivatives it keys live on the model
-        try:
-            table = {t: ring.convert(v, memo) for t, v in model.deriv.items()}
-            model.ring_table = ring, table
-        except TranscendentalResidueError:
-            model.ring_table = _Ring("expr", model.kernels), dict(model.deriv)
-    return model.ring_table
+    """Choose the value ring and convert the derivative table into it."""
+    ring = _Ring("float" if model.is_numeric else "nf")
+    memo: dict[int, NormalForm] = {}  # the derivatives it keys live on the model
+    try:
+        return ring, {t: ring.convert(v, memo) for t, v in model.deriv.items()}
+    except TranscendentalResidueError:
+        return _Ring("expr", model.kernels), dict(model.deriv)
 
 
 class _MomentView:
@@ -323,13 +316,18 @@ class _MomentView:
         self.table = table
         self.ring = ring
         self._cache: dict[tuple[int, ...], object] = {}
-        self._memo: dict[int, NormalForm] = {}  # its moments live in cross_moment's cache
+        self._memo: dict[int, NormalForm] = {}
+        # the view lives on the model, which may outlive cross_moment's cache:
+        # holding each converted moment keeps the node ids _memo keys alive
+        self._moments: list = []
 
     def __call__(self, *indices: int):
         key = tuple(sorted(indices))
         got = self._cache.get(key)
         if got is None:
-            got = self._cache[key] = self.ring.convert(self.table.get(key), self._memo)
+            moment = self.table.get(key)
+            self._moments.append(moment)
+            got = self._cache[key] = self.ring.convert(moment, self._memo)
         return got
 
 
@@ -337,7 +335,10 @@ def _first_order(model: StatModel):
     """What both contractions start from: the ring, the converted derivative
     table, the moment view, the indices of the nonzero first derivatives,
     S2 = sum a_i a_j mu_ij and A = sum a_i a_j a_k mu_ijk (k31's first term).
-    Each runs over sorted index tuples weighted by their multiplicity."""
+    Each runs over sorted index tuples weighted by their multiplicity.  Built
+    once per model and kept on ``model.first_order``."""
+    if model.first_order is not None:
+        return model.first_order
     ring, a = _model_ring(model)
     M = _MomentView(MomentTable(model.spec, model.dims), ring)
     D = model.dims
@@ -352,7 +353,8 @@ def _first_order(model: StatModel):
         for t in _sorted_tuples(D, 3)
         if all(i in nonzero1 for i in t)
     )
-    return ring, a, M, nonzero1, S2, A
+    model.first_order = ring, a, M, nonzero1, S2, A
+    return model.first_order
 
 
 @dataclass

@@ -158,14 +158,20 @@ def _ring_values(spec: MomentSpec) -> tuple[Value, Value, list[Value], Value]:
 
 @lru_cache(maxsize=None)
 def raw_moment(spec: MomentSpec, i: int) -> Value:
-    """E[W^i] = sum_j C(i,j) m_j sigma^j mu^(i-j)."""
+    """E[W^i] = sum_j C(i,j) m_j sigma^j mu^(i-j).  A float moment that
+    leaves the double range raises :class:`MomentError`."""
     if i < 0:
         raise MomentError("raw moment order must be >= 0")
     if i > spec.K:
         raise MomentOrderError(f"raw moment order {i} exceeds K={spec.K}")
     mu, sigma, m, total = _ring_values(spec)
-    for j in range(i + 1):
-        total = total + math.comb(i, j) * m[j] * sigma**j * mu ** (i - j)
+    try:
+        for j in range(i + 1):
+            total = total + math.comb(i, j) * m[j] * sigma**j * mu ** (i - j)
+    except OverflowError:  # float ** int raises where float * float gives inf
+        total = math.inf
+    if isinstance(total, float) and not math.isfinite(total):
+        raise MomentError(f"raw moment of order {i} overflows a double")
     return total
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from edgeboot import algebra
 from edgeboot.algebra import (
+    AlgebraError,
     Bindings,
     Comparison,
     DomainError,
@@ -419,6 +420,107 @@ class TestMPolyArithmetic:
         assert all(c != 0 for c in prod.terms.values())
 
 
+# -- coefficient representation ---------------------------------------------
+#
+# Every coefficient an operation returns is an int when it is integral and a
+# Fraction with a denominator other than 1 otherwise.  Each operation below
+# runs twice: on inputs in that representation and on the same inputs with
+# every coefficient a Fraction; the two results are compared by their values
+# at random rationals, with each generator (kernels too) a free variable.
+
+def _int_coeffs(p: MPoly) -> MPoly:
+    return MPoly({m: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()})
+
+
+def _fraction_coeffs(p: MPoly) -> MPoly:
+    return MPoly({m: Fraction(c) for m, c in p.terms.items()})
+
+
+def _assert_invariant(*polys: MPoly) -> None:
+    for p in polys:
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def _value(p: MPoly, point: dict, rnd) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        term = Fraction(c)
+        for g, e in m:
+            if g not in point:
+                point[g] = Fraction(rnd.randint(-30, 30), rnd.randint(1, 12))
+            term *= point[g] ** e
+        total += term
+    return total
+
+
+def _same_value(a, b, rnd) -> bool:
+    point: dict = {}
+    if isinstance(a, MPoly):
+        return _value(a, point, rnd) == _value(b, point, rnd)
+    return (_value(a.num, point, rnd) * _value(b.den, point, rnd)
+            == _value(b.num, point, rnd) * _value(a.den, point, rnd))
+
+
+def _both(op, *inputs):
+    """``op`` on the int-coefficient and on the all-Fraction form of
+    ``inputs``; None stands for a result the operation does not give (no
+    exact quotient, or an AlgebraError), and then it must give neither."""
+    outs = []
+    for conv in (_int_coeffs, _fraction_coeffs):
+        try:
+            outs.append(op(*[conv(p) for p in inputs]))
+        except AlgebraError:
+            outs.append(None)
+    got, want = outs
+    assert (got is None) == (want is None)
+    return got, want
+
+
+_plain_polys = st.dictionaries(_monomials(_PLAIN_GENS), _coeffs, max_size=4).map(MPoly)
+_kernel_polys = st.dictionaries(_monomials(_PLAIN_GENS + _KERNEL_GENS), _coeffs,
+                                max_size=4).map(MPoly)
+_nonzero_plain = _plain_polys.filter(lambda p: not p.is_zero)
+
+
+class TestCoefficientInvariant:
+    @given(_kernel_polys, _kernel_polys, _coeffs, st.integers(0, 3), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_mpoly_operations(self, p, q, c, n, rnd):
+        ops = [
+            lambda p, q: p + q,
+            lambda p, q: p - q,
+            lambda p, q: p * q,
+            lambda p, q: p.scale(c),
+            lambda p, q: p ** n,
+            lambda p, q: (p * q).divexact(q) if not q.is_zero else p,
+            lambda p, q: p.divexact(q) if not q.is_zero else p,
+        ]
+        for op in ops:
+            got, want = _both(op, p, q)
+            if got is not None:
+                _assert_invariant(got)
+                assert _same_value(got, want, rnd)
+
+    @given(_kernel_polys, _nonzero_plain, _kernel_polys, _nonzero_plain, st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_normal_form_operations(self, p, r, q, s, rnd):
+        ops = [
+            lambda p, r, q, s: NormalForm(p, r) + NormalForm(q, s),
+            lambda p, r, q, s: NormalForm(p, r) * NormalForm(q, s),
+            lambda p, r, q, s: NormalForm(p, r).pow(Fraction(2)),
+            lambda p, r, q, s: (NormalForm(p, r) * NormalForm(q, s)).canonical(),
+            lambda p, r, q, s: (NormalForm(p, r) * NormalForm(r, s)).canonical(),
+            lambda p, r, q, s: NormalForm(r * r, s).sqrt(),
+            lambda p, r, q, s: NormalForm(r, s).pow(Fraction(3, 2)),
+        ]
+        for op in ops:
+            got, want = _both(op, p, r, q, s)
+            if got is not None:
+                _assert_invariant(got.num, got.den)
+                assert _same_value(got, want, rnd)
+
+
 # -- light reduction --------------------------------------------------------
 
 class TestLightReduce:
@@ -502,7 +604,7 @@ def _rational_multiple(a: MPoly, b: MPoly) -> bool:
     if a.terms.keys() != b.terms.keys():
         return False
     m = next(iter(a.terms))
-    return a == b.scale(a.terms[m] / b.terms[m])
+    return a == b.scale(Fraction(a.terms[m]) / b.terms[m])
 
 
 class TestGcd:
@@ -512,6 +614,7 @@ class TestGcd:
         got, want = _sympy_gcd_many(polys), _expression_gcd_many(polys)
         assert (got is None) == (want is None)
         if got is not None:
+            _assert_invariant(got)
             assert _rational_multiple(got, want)
             assert all(p.divexact(got) is not None for p in polys if not p.is_zero)
 

@@ -239,6 +239,12 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: exp(1000.0) overflows a double\n"
 
+    def test_moment_overflow_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "expand", "--stat", "mean", "--moments", "gaussian",
+                             "--mu", "1e200")
+        assert (code, out) == (1, "")
+        assert err == "error: raw moment of order 2 overflows a double\n"
+
     def test_bad_quantile_level(self, capsys):
         code, _, err = run(capsys, "quantile", "--stat", "mean", "--moments",
                            "gaussian", "--alpha", "1.5", "--n", "10")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -18,7 +19,13 @@ from edgeboot.expr import (
     pow_,
     sub,
 )
-from edgeboot.moments import MomentOrderError, gaussian_spec, symbolic_spec
+from edgeboot.moments import (
+    MomentOrderError,
+    cross_moment,
+    gaussian_spec,
+    raw_moment,
+    symbolic_spec,
+)
 from edgeboot.edgeworth import (
     Mode,
     ModelError,
@@ -32,7 +39,7 @@ from edgeboot.edgeworth import (
     quantile_eval,
     scale_adjust,
 )
-from edgeboot import edgeworth
+from edgeboot import edgeworth, moments
 from edgeboot.codegen import emit_assignments
 
 from naive_coeffs import cumulant_coeffs_naive
@@ -174,7 +181,42 @@ class TestRingMemo:
         # one call per table entry (entries may share a node, such as ZERO)
         assert set(calls) == deriv_ids
         assert sum(calls.values()) == len(m.deriv)
-        assert edgeworth._model_ring(m) is m.ring_table
+        assert edgeworth._first_order(m) is m.first_order
+
+    def test_first_order_built_once(self, monkeypatch):
+        # accel_constant after cumulant_coeffs reuses the moment view, S2 and
+        # A (k31's first term) that cumulant_coeffs built, and agrees with
+        # accel_constant on a fresh model
+        def model():
+            return build_model(parse("x2 - x1^2"), Mode.NONSTUDENTIZED, symbolic_spec(8))
+
+        alone = accel_constant(model())
+        views = []
+        real = edgeworth._MomentView
+
+        def counting(*args):
+            views.append(real(*args))
+            return views[-1]
+
+        monkeypatch.setattr(edgeworth, "_MomentView", counting)
+        m = model()
+        cumulant_coeffs(m)
+        assert accel_constant(m) == alone
+        assert len(views) == 1
+
+    def test_kept_view_survives_a_cleared_moment_cache(self):
+        # the view kept on the model memoises moment subtrees by node id; a
+        # cleared cross_moment cache must not let new nodes hit stale entries
+        def model():
+            return build_model(parse("(x2 - x1^2)/x1"), Mode.NONSTUDENTIZED, symbolic_spec(8))
+
+        want = cumulant_coeffs(model())
+        m = model()
+        accel_constant(m)  # converts the pair and triple moments only
+        for cache in (cross_moment, raw_moment, moments._ring_values):
+            cache.cache_clear()
+        gc.collect()
+        assert cumulant_coeffs(m) == want
 
 
 class TestPinnedOutput:

@@ -40,6 +40,14 @@ class TestRawMoments:
         with pytest.raises(MomentOrderError):
             raw_moment(symbolic_spec(4), 5)
 
+    @pytest.mark.parametrize("spec, order", [
+        (gaussian_spec(1e200, 1.0, K=4), 2),  # mu ** 2 raises OverflowError
+        (MomentSpec(0.0, 1e10, (1.0, 0.0, 1.0, 0.0, 1e300), 4), 4),  # 1e300 * 1e40 is inf
+    ])
+    def test_overflow_is_a_moment_error(self, spec, order):
+        with pytest.raises(MomentError, match=f"^raw moment of order {order} overflows a double$"):
+            raw_moment(spec, order)
+
 
 class TestCrossMoments:
     def test_variance_pair(self):
