@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import AlgebraError, Bindings
 from .bootstrap import BootConfig, BootstrapError, bca_interval
@@ -32,6 +31,7 @@ from .edgeworth import (
     Poly,
     StatModel,
     accel_constant,
+    as_expr,
     cdf_eval,
     cornish_fisher_polys,
     cumulant_coeffs,
@@ -40,7 +40,7 @@ from .edgeworth import (
 )
 from .expr import Expr, ExprError, Sym, pretty_print
 from .harness import HarnessError, McConfig, compare_and_emit, parse_grid
-from .moments import MomentError, _read_column
+from .moments import MomentError, _read_column, parse_number
 
 _ERRORS = (
     AlgebraError,
@@ -111,7 +111,8 @@ def _param_override(args) -> dict[str, float] | None:
         name, _, value = spec_text.partition("=")
         if not value:
             raise ConfigError(f"bad --param {spec_text!r}, want NAME=VALUE")
-        params[name.strip()] = float(Fraction(value.strip()))
+        name = name.strip()
+        params[name] = parse_number(value.strip(), f"--param {name}")
     return params or None
 
 
@@ -247,12 +248,12 @@ def _cmd_export(args) -> int:
     acc = accel_constant(model)
     x = Sym("x")
     available: dict[str, Expr] = {
-        "A": _as_expr_value(acc.A_value),
-        "a": _as_expr_value(acc.a_over_sqrtn),
-        "k12": _as_expr_value(k.k12),
-        "k22": _as_expr_value(k.k22),
-        "k31": _as_expr_value(k.k31),
-        "k41": _as_expr_value(k.k41),
+        "A": as_expr(acc.A_value),
+        "a": as_expr(acc.a_over_sqrtn),
+        "k12": as_expr(k.k12),
+        "k22": as_expr(k.k22),
+        "k31": as_expr(k.k31),
+        "k41": as_expr(k.k41),
         "p1": p1.to_expr(x),
         "p2": p2.to_expr(x),
         "p11": p11.to_expr(x),
@@ -268,14 +269,6 @@ def _cmd_export(args) -> int:
             fh.write(text)
     print(text, end="")
     return 0
-
-
-def _as_expr_value(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    from .expr import Const
-
-    return Const(Fraction(float(v)))
 
 
 def build_parser() -> argparse.ArgumentParser:

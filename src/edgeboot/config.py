@@ -4,8 +4,9 @@ Sections: ``[statistic]`` with name, g, mode, optional ``d`` (dimension
 override), optional ``positive`` (semicolon-separated expressions registered
 as positive square-root kernels) and any further keys as numeric statistic
 parameters (e.g. ``lambda = 1.0``); ``[moments]`` as consumed by
-:func:`edgeboot.moments.spec_from_config`; ``[run]`` with n, reps, grid,
-seed, B, alpha.
+:func:`edgeboot.moments.spec_from_config`, with case-insensitive keys, an
+unknown key being an error; ``[run]`` with n, reps, grid, seed, B, alpha.
+A malformed number is an error that names its section and key.
 
 Built-in presets (mean, variance, ml_symmetric, ml_general) ship with the
 package and can be referenced by name instead of a path.
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .bootstrap import Statistic
-from .expr import Expr, KernelRegistry, arity, parse
-from .moments import spec_from_config
-from .edgeworth import Mode, StatModel, build_model
+from .expr import KernelRegistry, parse
+from .moments import MOMENT_KEYS, parse_number, spec_from_config
+from .edgeworth import Mode, StatModel, build_model, model_shape
 
 _STAT_KEYS = {"name", "g", "mode", "d", "positive"}
 
@@ -41,18 +41,6 @@ class StatisticConfig:
     d: int | None = None
     positive: tuple[str, ...] = ()
     params: dict[str, float] = field(default_factory=dict)
-
-    def registry(self) -> KernelRegistry:
-        reg = KernelRegistry()
-        for text in self.positive:
-            reg.register(parse(text, reg))
-        return reg
-
-    def parse_g(self, reg: KernelRegistry | None = None) -> Expr:
-        return parse(self.g_text, reg or self.registry())
-
-    def merged_params(self, override: dict[str, float] | None = None) -> dict[str, float]:
-        return {**self.params, **(override or {})}
 
 
 @dataclass
@@ -85,17 +73,15 @@ def _resolve(path_or_name: str) -> str:
 
 def load_config(path_or_name: str) -> FullConfig:
     cp = configparser.ConfigParser()
-    cp.optionxform = str  # keep case: Gamma1, U, L
+    cp.optionxform = str  # keep the case of parameters such as U and L
     cp.read_string(_resolve(path_or_name))
     if "statistic" not in cp:
         raise ConfigError("config needs a [statistic] section")
     st = cp["statistic"]
     if "g" not in st:
         raise ConfigError("[statistic] needs g = <expression>")
-    params = {}
-    for key, value in st.items():
-        if key not in _STAT_KEYS:
-            params[key] = float(Fraction(value))
+    params = {key: parse_number(value, f"[statistic] {key}")
+              for key, value in st.items() if key not in _STAT_KEYS}
     positive = tuple(
         tok.strip() for tok in st.get("positive", "").split(";") if tok.strip()
     )
@@ -103,22 +89,37 @@ def load_config(path_or_name: str) -> FullConfig:
         name=st.get("name", "statistic"),
         g_text=st["g"],
         mode=Mode.parse(st.get("mode", "plain")),
-        d=int(st["d"]) if "d" in st else None,
+        d=parse_number(st["d"], "[statistic] d", int) if "d" in st else None,
         positive=positive,
         params=params,
     )
     run = RunConfig()
     if "run" in cp:
         rn = cp["run"]
+
+        def integer(key: str, default):
+            return parse_number(rn.get(key, default), f"[run] {key}", int)
+
         run = RunConfig(
-            n=int(rn.get("n", run.n)),
-            reps=int(rn.get("reps", run.reps)),
+            n=integer("n", run.n),
+            reps=integer("reps", run.reps),
             grid=rn.get("grid", run.grid),
-            seed=int(rn["seed"]) if "seed" in rn else None,
-            B=int(rn.get("B", rn.get("b", run.B))),
-            alpha=float(rn.get("alpha", run.alpha)),
+            seed=integer("seed", None) if "seed" in rn else None,
+            B=integer("B", rn.get("b", run.B)),
+            alpha=parse_number(rn.get("alpha", run.alpha), "[run] alpha", float),
         )
-    moments = dict(cp["moments"]) if "moments" in cp else {"distribution": "symbolic"}
+    moments = {"distribution": "symbolic"}
+    if "moments" in cp:
+        # keys are case-insensitive (Gamma1 = gamma1); an unread key is an error
+        moments = {}
+        for key, value in cp["moments"].items():
+            name = key.lower()
+            if name not in MOMENT_KEYS:
+                raise ConfigError(f"unknown [moments] key {key!r}; known keys: "
+                                  f"{', '.join(MOMENT_KEYS)}")
+            if name in moments:
+                raise ConfigError(f"[moments] key {key!r} given twice")
+            moments[name] = value
     return FullConfig(statistic=stat, moments=moments, run=run)
 
 
@@ -129,19 +130,12 @@ def model_from_config(
     param_override: dict[str, float] | None = None,
 ) -> StatModel:
     """Build the statistic model a config describes."""
-    stat = cfg.statistic
-    mode = mode or stat.mode
-    reg = stat.registry()
-    g = stat.parse_g(reg)
-    d = stat.d if stat.d is not None else max(arity(g), 1)
-    dims = d if mode is Mode.NONSTUDENTIZED else 2 * d
-    required_K = max(2 * d, 4 * dims)
-    section = dict(cfg.moments)
-    if moments_override:
-        section.update(moments_override)
-    spec = spec_from_config(section, required_K)
-    return build_model(g, mode, spec, d=stat.d, params=stat.merged_params(param_override),
-                       kernels=reg)
+    stat = statistic_from_config(cfg, param_override)
+    mode = mode or cfg.statistic.mode
+    _, _, K = model_shape(stat.g, mode, cfg.statistic.d)
+    spec = spec_from_config({**cfg.moments, **(moments_override or {})}, K)
+    return build_model(stat.g, mode, spec, d=cfg.statistic.d, params=stat.params,
+                       kernels=stat.kernels)
 
 
 def statistic_from_config(
@@ -149,5 +143,7 @@ def statistic_from_config(
 ) -> Statistic:
     """The statistic a config describes, without its moment model."""
     stat = cfg.statistic
-    reg = stat.registry()
-    return Statistic(stat.parse_g(reg), stat.merged_params(param_override), reg)
+    reg = KernelRegistry()
+    for text in stat.positive:
+        reg.register(parse(text, reg))
+    return Statistic(parse(stat.g_text, reg), {**stat.params, **(param_override or {})}, reg)

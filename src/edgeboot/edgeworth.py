@@ -89,7 +89,6 @@ class StatModel:
     mode: Mode
     dims: int
     h2_expr: Expr  # squared studentizing function, over x1..x_{2d}
-    g_at_mu: Value
     sigma_a: Value  # h at the moment point
     a_expr: Expr  # the normalized statistic over x1..x_dims
     deriv: dict[tuple[int, ...], Value]
@@ -118,6 +117,36 @@ def _multiplicity(t: tuple[int, ...]) -> int:
     return out
 
 
+def model_shape(g: Expr, mode: Mode, d: int | None = None) -> tuple[int, int, int]:
+    """(d, dims, K): the power-mean count, the slots of the normalized
+    statistic and the moment order its expansion needs.
+
+    ``d`` may exceed arity(g) to embed the statistic in a higher-dimensional
+    power basis (unused slots get zero derivatives).
+    """
+    d0 = arity(g)
+    if d0 < 1 and d is None:
+        raise ModelError("statistic must depend on at least x1")
+    d = d if d is not None else d0
+    if d < max(d0, 1):
+        raise ModelError(f"dimension override {d} below arity {d0}")
+    dims = d if mode is Mode.NONSTUDENTIZED else 2 * d
+    return d, dims, max(2 * d, 4 * dims)
+
+
+def _canonical_expr(e: Expr) -> Expr:
+    """``e``'s canonical normal form, or ``e`` itself when it is transcendental."""
+    try:
+        return _to_nf(e).canonical().to_expr()
+    except TranscendentalResidueError:
+        return e
+
+
+def as_expr(v: Value) -> Expr:
+    """An Expr as is; a float as the exact rational of its double."""
+    return v if isinstance(v, Expr) else Const(Fraction(float(v)))
+
+
 def build_model(
     g: Expr,
     mode: Mode,
@@ -126,105 +155,62 @@ def build_model(
     params: Mapping[str, float] | None = None,
     kernels: KernelRegistry | None = None,
 ) -> StatModel:
-    """Construct the normalized statistic and its derivative table.
-
-    ``d`` may exceed arity(g) to embed the statistic in a higher-dimensional
-    power basis (unused slots get zero derivatives).
-    """
+    """Construct the normalized statistic and its derivative table at the
+    moment point (see :func:`model_shape` for ``d``)."""
     params = dict(params or {})
     kernels = kernels or KernelRegistry()
-    d0 = arity(g)
-    if d0 < 1 and d is None:
-        raise ModelError("statistic must depend on at least x1")
-    d = d if d is not None else d0
-    if d < max(d0, 1):
-        raise ModelError(f"dimension override {d} below arity {d0}")
-    dims = d if mode is Mode.NONSTUDENTIZED else 2 * d
-    needed_K = max(2 * d, 4 * dims)
+    d, dims, needed_K = model_shape(g, mode, d)
     if spec.K < needed_K:
         raise MomentOrderError(
             f"moment spec provides K={spec.K} but the model needs {needed_K}"
         )
 
     numeric = not spec.is_symbolic
-    point_exprs: dict[int, Expr] = {}
-    point_vals: dict[int, float] = {}
-    for i in range(1, 2 * d + 1):
-        r = raw_moment(spec, i)
-        if numeric:
-            point_vals[i] = float(r)  # type: ignore[arg-type]
-        else:
-            point_exprs[i] = r  # type: ignore[assignment]
+    point = {Var(i): raw_moment(spec, i) for i in range(1, 2 * d + 1)}
+    if numeric:
+        env = Bindings(params, {v.index: float(r) for v, r in point.items()})
+
+        def at(e: Expr) -> Value:
+            return eval_numeric(e, env)
+    else:
+        def at(e: Expr) -> Value:
+            return substitute(e, point, kernels)
 
     gi = {i: differentiate(g, i, kernels) for i in range(1, d + 1)}
-    h2_terms = []
-    for i in range(1, d + 1):
-        if gi[i] == ZERO:
-            continue
-        for j in range(1, d + 1):
-            if gi[j] == ZERO:
-                continue
-            h2_terms.append(
-                mul(gi[i], gi[j], sub(Var(i + j), mul(Var(i), Var(j))))
-            )
+    slopes = [(i, gi[i]) for i in gi if gi[i] != ZERO]
+    h2_terms = [mul(g_i, g_j, sub(Var(i + j), mul(Var(i), Var(j))))
+                for i, g_i in slopes for j, g_j in slopes]
     if not h2_terms:
         raise ModelError("zero asymptotic variance: statistic has no slope")
     h2 = expr_add(*h2_terms)
     kernels.register(h2)
 
-    env = Bindings(params, point_vals)
+    g_at_mu, h2_at_mu = at(g), at(h2)
+    plain = mode is Mode.NONSTUDENTIZED
     if numeric:
-        g_at_mu: Value = eval_numeric(g, env)
-        h2_at_mu = eval_numeric(h2, env)
         if not (math.isfinite(h2_at_mu) and h2_at_mu > 0):
             raise ModelError(f"zero or invalid asymptotic variance {h2_at_mu}")
         sigma_a: Value = math.sqrt(h2_at_mu)
-        g_mu_expr: Expr = Const(Fraction(float(g_at_mu)))
-        h2_mu_expr: Expr | None = None  # numeric path divides by 1/sigma directly
+        g_at_mu = as_expr(g_at_mu)
+        normalizer = as_expr(1.0 / sigma_a) if plain else None
     else:
-        subs_map = {Var(i): point_exprs[i] for i in point_exprs}
-        g_at_mu = substitute(g, subs_map, kernels)
-        h2_at_mu = substitute(h2, subs_map, kernels)
-        try:
-            g_at_mu = _to_nf(g_at_mu).canonical().to_expr()
-        except TranscendentalResidueError:
-            pass
-        try:
-            nf_h2 = _to_nf(h2_at_mu).canonical()
-            if nf_h2.is_zero:
-                raise ModelError("zero asymptotic variance at the moment point")
-            h2_at_mu = nf_h2.to_expr()
-        except TranscendentalResidueError:
-            pass  # transcendental variance: positivity is checked numerically
+        # a transcendental variance stays as is: its positivity is checked numerically
+        g_at_mu, h2_at_mu = _canonical_expr(g_at_mu), _canonical_expr(h2_at_mu)
+        if h2_at_mu == ZERO:
+            raise ModelError("zero asymptotic variance at the moment point")
         kernels.register(h2_at_mu)
         sigma_a = sqrt(h2_at_mu, kernels)
-        g_mu_expr = g_at_mu
-        h2_mu_expr = h2_at_mu
-
-    centered = sub(g, g_mu_expr)
-    if mode is Mode.NONSTUDENTIZED:
-        if numeric:
-            a_expr = mul(centered, Const(Fraction(1.0 / sigma_a)))
-        else:
-            a_expr = mul(centered, pow_(h2_mu_expr, Fraction(-1, 2), kernels))
-    else:
-        a_expr = mul(centered, pow_(h2, Fraction(-1, 2), kernels))
+        normalizer = pow_(h2_at_mu, Fraction(-1, 2), kernels) if plain else None
+    if not plain:
+        normalizer = pow_(h2, Fraction(-1, 2), kernels)
+    a_expr = mul(sub(g, g_at_mu), normalizer)
 
     deriv_exprs: dict[tuple[int, ...], Expr] = {(): a_expr}
+    deriv: dict[tuple[int, ...], Value] = {}
     for order in (1, 2, 3):
         for t in _sorted_tuples(dims, order):
             deriv_exprs[t] = differentiate(deriv_exprs[t[:-1]], t[-1], kernels)
-
-    deriv: dict[tuple[int, ...], Value] = {}
-    if numeric:
-        for t, e in deriv_exprs.items():
-            if t:
-                deriv[t] = eval_numeric(e, env)
-    else:
-        subs_map = {Var(i): point_exprs[i] for i in point_exprs}
-        for t, e in deriv_exprs.items():
-            if t:
-                deriv[t] = substitute(e, subs_map, kernels)
+            deriv[t] = at(deriv_exprs[t])
 
     return StatModel(
         g=g,
@@ -232,7 +218,6 @@ def build_model(
         mode=mode,
         dims=dims,
         h2_expr=h2,
-        g_at_mu=g_at_mu,
         sigma_a=sigma_a,
         a_expr=a_expr,
         deriv=deriv,
@@ -552,8 +537,7 @@ class Poly:
         x = variable if variable is not None else Sym("x")
         terms = []
         for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            ce = c if isinstance(c, Expr) else Const(Fraction(float(c)))
+            ce = as_expr(self.coeffs[k])
             if ce == ZERO:
                 continue
             terms.append(mul(ce, pow_(x, Fraction(k))))
@@ -561,15 +545,8 @@ class Poly:
 
     def simplified(self) -> "Poly":
         """Canonicalize symbolic coefficients through normal forms."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Expr):
-                try:
-                    c = _to_nf(c).canonical().to_expr()
-                except TranscendentalResidueError:
-                    pass
-            out.append(c)
-        return Poly(tuple(out))
+        return Poly(tuple(_canonical_expr(c) if isinstance(c, Expr) else c
+                          for c in self.coeffs))
 
 
 def edgeworth_polys(k: CumulantCoeffs) -> tuple[Poly, Poly]:

@@ -243,23 +243,38 @@ class MomentTable:
 # Config loading
 # ---------------------------------------------------------------------------
 
+# the [moments] keys some distribution reads
+MOMENT_KEYS = ("distribution", "k", "mu", "sigma", "scale", "data_file", "gamma1", "kappa1",
+               "moments")
+
+
+def parse_number(text: str, place: str, convert=lambda t: float(Fraction(t))):
+    """``convert(text)``: by default ``text`` read as an exact rational and
+    rounded to a double.  A malformed number is a ValueError naming ``place``."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{place}: {text!r} is not {kind}") from None
+
+
 def spec_from_config(section: Mapping[str, str], required_K: int) -> MomentSpec:
-    """Build a spec from a ``[moments]`` config section.
+    """Build a spec from a ``[moments]`` config section (lower-case keys).
 
     ``distribution`` is one of gaussian | symbolic | empirical | custom |
     exponential.  ``K`` defaults to the caller's requirement (4 * Dims).
     """
+    def num(key: str, default: str) -> float:
+        return parse_number(section.get(key, default), f"[moments] {key}")
+
     dist = section.get("distribution", "symbolic").strip().lower()
-    K = int(section.get("k", required_K))
-    K = max(K, required_K)
+    K = max(parse_number(section.get("k", required_K), "[moments] k", int), required_K)
     if dist == "symbolic":
         return symbolic_spec(K)
     if dist == "gaussian":
-        mu = float(Fraction(section.get("mu", "0")))
-        sigma = float(Fraction(section.get("sigma", "1")))
-        return gaussian_spec(mu, sigma, K)
+        return gaussian_spec(num("mu", "0"), num("sigma", "1"), K)
     if dist == "exponential":
-        return exponential_spec(float(Fraction(section.get("scale", "1"))), K)
+        return exponential_spec(num("scale", "1"), K)
     if dist == "empirical":
         path = section.get("data_file")
         if not path:
@@ -267,14 +282,11 @@ def spec_from_config(section: Mapping[str, str], required_K: int) -> MomentSpec:
         data = _read_column(path)
         return empirical_spec(data, K)
     if dist == "custom":
-        mu = float(Fraction(section.get("mu", "0")))
-        sigma = float(Fraction(section.get("sigma", "1")))
-        ms: list[float] = [1.0, 0.0, 1.0]
-        ms.append(float(Fraction(section.get("gamma1", "0"))))
-        ms.append(float(Fraction(section.get("kappa1", "0"))) + 3.0)
+        mu, sigma = num("mu", "0"), num("sigma", "1")
+        ms: list[float] = [1.0, 0.0, 1.0, num("gamma1", "0"), num("kappa1", "0") + 3.0]
         extra = section.get("moments", "").strip().strip("[]")
-        if extra:
-            ms.extend(float(Fraction(tok.strip())) for tok in extra.split(",") if tok.strip())
+        ms.extend(parse_number(tok.strip(), "[moments] moments")
+                  for tok in extra.split(",") if tok.strip())
         if len(ms) < K + 1:
             raise MomentError(
                 f"custom spec provides order {len(ms) - 1} but K={K} is required"

@@ -249,3 +249,80 @@ class TestErrors:
         code, _, err = run(capsys, "quantile", "--stat", "mean", "--moments",
                            "gaussian", "--alpha", "1.5", "--n", "10")
         assert code == 1
+
+
+def _config(tmp_path, statistic="g = x1\n", moments="", run=""):
+    cfg = tmp_path / "stat.cfg"
+    text = f"[statistic]\n{statistic}"
+    if moments:
+        text += f"[moments]\n{moments}"
+    if run:
+        text += f"[run]\n{run}"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+class TestConfigInput:
+    def test_moment_keys_are_case_insensitive(self, capsys, tmp_path):
+        outs = []
+        for key, k in (("gamma1", "k"), ("Gamma1", "K")):
+            cfg = _config(tmp_path, moments=f"distribution = custom\n{key} = 2\n{k} = 40\n"
+                          f"moments = {', '.join(['0'] * 36)}\n")
+            code, out, err = run(capsys, "expand", "--stat", cfg)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "k31 = 2.0\n" in outs[1] and "A = 2.0\n" in outs[1]
+
+    def test_moment_k_is_read_in_any_case(self, capsys, tmp_path):
+        # 4 orders are all the plain mean needs; K = 40 asks for 36 more
+        cfg = _config(tmp_path, moments="distribution = custom\nK = 40\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out) == (1, "")
+        assert err == "error: custom spec provides order 4 but K=40 is required\n"
+
+    def test_unknown_moment_key_is_one_error_line(self, capsys, tmp_path):
+        cfg = _config(tmp_path, moments="distribution = gaussian\nsigm = 2\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown [moments] key 'sigm'; known keys: distribution")
+        assert err.count("\n") == 1
+
+    def test_repeated_moment_key(self, capsys, tmp_path):
+        cfg = _config(tmp_path, moments="distribution = custom\ngamma1 = 1\nGamma1 = 2\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out, err) == (1, "", "error: [moments] key 'Gamma1' given twice\n")
+
+    def test_symbolic_override_keeps_mu_and_sigma(self, capsys):
+        code, out, err = run(capsys, "accel", "--stat", "ml_symmetric", "--moments", "symbolic")
+        assert (code, err) == (0, "")
+        assert out.startswith("A = ")
+
+    @pytest.mark.parametrize("part, want", [
+        ({"statistic": "g = x1\nlambda = abc\n"},
+         "[statistic] lambda: 'abc' is not a number"),
+        ({"statistic": "g = x1\nlambda = 1/0\n"},
+         "[statistic] lambda: '1/0' is not a number"),
+        ({"statistic": "g = x1\nd = two\n"},
+         "[statistic] d: 'two' is not an integer"),
+        ({"run": "n = 2.5\n"}, "[run] n: '2.5' is not an integer"),
+        ({"run": "alpha = five\n"}, "[run] alpha: 'five' is not a number"),
+        ({"moments": "distribution = gaussian\nmu = 1/x\n"},
+         "[moments] mu: '1/x' is not a number"),
+        ({"moments": "distribution = custom\nk = 8.5\n"},
+         "[moments] k: '8.5' is not an integer"),
+        ({"moments": "distribution = custom\nmoments = 0, zero\n"},
+         "[moments] moments: 'zero' is not a number"),
+    ])
+    def test_bad_number_names_its_place(self, capsys, tmp_path, part, want):
+        code, out, err = run(capsys, "expand", "--stat", _config(tmp_path, **part))
+        assert (code, out, err) == (1, "", f"error: {want}\n")
+
+    def test_bad_param_names_its_flag(self, capsys):
+        code, out, err = run(capsys, "expand", "--stat", "ml_symmetric",
+                             "--param", "lambda=abc")
+        assert (code, out, err) == (1, "", "error: --param lambda: 'abc' is not a number\n")
+
+    def test_constant_statistic(self, capsys, tmp_path):
+        code, out, err = run(capsys, "expand", "--stat", _config(tmp_path, statistic="g = 1\n"))
+        assert (code, out, err) == (1, "", "error: statistic must depend on at least x1\n")

@@ -19,9 +19,12 @@ from edgeboot.expr import (
     pow_,
     sub,
 )
+from edgeboot.config import PRESETS, load_config, statistic_from_config
 from edgeboot.moments import (
     MomentOrderError,
     cross_moment,
+    empirical_spec,
+    exponential_spec,
     gaussian_spec,
     raw_moment,
     symbolic_spec,
@@ -36,6 +39,7 @@ from edgeboot.edgeworth import (
     cornish_fisher_polys,
     cumulant_coeffs,
     edgeworth_polys,
+    model_shape,
     quantile_eval,
     scale_adjust,
 )
@@ -43,6 +47,7 @@ from edgeboot import edgeworth, moments
 from edgeboot.codegen import emit_assignments
 
 from naive_coeffs import cumulant_coeffs_naive
+from two_branch_model import build_model_two_branch
 
 ML_RADICAND = sub(Var(2), pow_(Var(1), 2))
 ML_G_TEXT = "Phi((lambda - x1)/sqrt(x2 - x1^2)) - Phi((-lambda - x1)/sqrt(x2 - x1^2))"
@@ -478,3 +483,73 @@ class TestCdfQuantile:
             cdf_eval(p1, p2, None, 1, 0.0, 2)
         with pytest.raises(ModelError):
             quantile_eval(p11, p21, None, 10, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# One moment-point path: build_model equals its two-branch reference
+# ---------------------------------------------------------------------------
+
+def _same(got, want) -> bool:
+    """Exact equality: equal Expr trees, or floats with the same bits."""
+    if isinstance(want, Expr):
+        return isinstance(got, Expr) and got == want
+    return type(got) is float and type(want) is float and got.hex() == want.hex()
+
+
+_FOLD_SPECS = {
+    "symbolic": symbolic_spec,
+    "gaussian_1.3_0.7": lambda K: gaussian_spec(1.3, 0.7, K),
+    "exponential": lambda K: exponential_spec(1.0, K),
+    "empirical": lambda K: empirical_spec([0.31, -1.2, 2.7, 0.05, 1.9, -0.44, 3.3, 0.8], K),
+}
+_FOLD_STATS = {
+    **{name: None for name in PRESETS},
+    "kurtosis_b2": "(x4 - 4*x1*x3 + 6*x1^2*x2 - 3*x1^4)/(x2 - x1^2)^2",
+    "cv": "sqrt(x2 - x1^2)/x1",
+}
+
+
+def _fold_statistic(name: str):
+    """(g, params, kernels), parsed afresh so each build owns its registry."""
+    if _FOLD_STATS[name] is None:
+        stat = statistic_from_config(load_config(name))
+        return stat.g, stat.params, stat.kernels
+    reg = KernelRegistry([ML_RADICAND])
+    return parse(_FOLD_STATS[name], reg), {}, reg
+
+
+class TestOneModelPath:
+    @pytest.mark.parametrize("spec_name", list(_FOLD_SPECS))
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("stat", list(_FOLD_STATS))
+    def test_matches_two_branch_reference(self, stat, mode, spec_name):
+        g, params, reg = _fold_statistic(stat)
+        spec = _FOLD_SPECS[spec_name](model_shape(g, mode)[2])
+        got = build_model(g, mode, spec, params=params, kernels=reg)
+        g, params, reg = _fold_statistic(stat)
+        want = build_model_two_branch(g, mode, spec, params=params, kernels=reg)
+        assert (got.d, got.dims) == (want.d, want.dims)
+        assert got.h2_expr == want.h2_expr
+        assert got.a_expr == want.a_expr
+        assert _same(got.sigma_a, want.sigma_a)
+        assert list(got.deriv) == list(want.deriv)
+        for t, value in want.deriv.items():
+            assert _same(got.deriv[t], value), t
+
+    def test_shape(self):
+        g = parse("x2 - x1^2")
+        assert model_shape(g, Mode.NONSTUDENTIZED) == (2, 2, 8)
+        assert model_shape(g, Mode.STUDENTIZED) == (2, 4, 16)
+        assert model_shape(g, Mode.STUDENTIZED, 3) == (3, 6, 24)
+        with pytest.raises(ModelError, match="at least x1"):
+            model_shape(parse("1"), Mode.NONSTUDENTIZED)
+        with pytest.raises(ModelError, match="below arity 2"):
+            model_shape(g, Mode.NONSTUDENTIZED, 1)
+
+    def test_zero_variance_at_the_moment_point(self):
+        # d(x1^2)/dx1 = 2 x1 vanishes at mean 0, with the scale symbolic
+        spec = gaussian_spec(0.0, Sym("sigma"), 8)
+        with pytest.raises(ModelError, match="zero asymptotic variance at the moment point"):
+            build_model(parse("x1^2"), Mode.NONSTUDENTIZED, spec)
+        with pytest.raises(ModelError, match="zero or invalid asymptotic variance 0.0"):
+            build_model(parse("x1^2"), Mode.NONSTUDENTIZED, gaussian_spec(0.0, 1.0, 8))
