@@ -77,7 +77,7 @@ def differentiate(e: Expr, index: int, kernels: KernelRegistry | None = None) ->
     """Exact partial derivative with respect to ``x<index>``.
 
     Chain rules: d Phi(u) = phi(u) du, d phi(u) = -u phi(u) du,
-    d exp(u) = exp(u) du.  Shared subtrees are differentiated once.
+    d exp(u) = exp(u) du.  Equal subtrees are differentiated once.
     """
     return _differentiate(e, index, kernels, {})
 
@@ -213,8 +213,9 @@ def norm_pdf(u: Number) -> Number:
 
 def eval_numeric(e: Expr, b: Bindings) -> Number:
     """Evaluate to double precision.  Raises :class:`EvalError` for unbound
-    symbols; :class:`DomainError` for scalar domain violations.  Shared
-    subtrees are evaluated once per call."""
+    symbols; :class:`DomainError` for scalar domain violations.  Equal
+    subtrees are one interned node and are evaluated once per call
+    (memoised by structure)."""
     return _eval(e, b, {})
 
 
@@ -895,10 +896,10 @@ def _gen_to_expr(g: Gen) -> Expr:
 # ---------------------------------------------------------------------------
 
 def _to_nf(e: Expr, memo: dict[int, NormalForm] | None = None) -> NormalForm:
-    """Lightly reduced normal form; shared subtrees are converted once.
+    """Lightly reduced normal form; equal subtrees are converted once.
 
-    ``memo`` is keyed by node id, so a memo kept across calls may only hold
-    nodes that outlive it."""
+    ``memo`` is keyed by the id of the interned node, so it is memoised by
+    structure; a memo kept across calls may only hold nodes that outlive it."""
     if memo is None:
         memo = {}
     out = memo.get(id(e))

@@ -198,8 +198,8 @@ def _cmd_mc(args) -> int:
         reps=args.reps or cfg.run.reps,
         grid=grid,
         seed=args.seed,
-        mu=float(args.mu) if args.mu is not None else 0.0,
-        sigma=float(args.sigma) if args.sigma is not None else 1.0,
+        mu=parse_number(args.mu, "--mu") if args.mu is not None else 0.0,
+        sigma=parse_number(args.sigma, "--sigma") if args.sigma is not None else 1.0,
         scale=args.scale,
     )
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -4,8 +4,9 @@ Sections: ``[statistic]`` with name, g, mode, optional ``d`` (dimension
 override), optional ``positive`` (semicolon-separated expressions registered
 as positive square-root kernels) and any further keys as numeric statistic
 parameters (e.g. ``lambda = 1.0``); ``[moments]`` as consumed by
-:func:`edgeboot.moments.spec_from_config`, with case-insensitive keys, an
-unknown key being an error; ``[run]`` with n, reps, grid, seed, B, alpha.
+:func:`edgeboot.moments.spec_from_config`; ``[run]`` with n, reps, grid,
+seed, B, alpha.  ``[moments]`` and ``[run]`` keys are case-insensitive, and
+an unknown or repeated key is an error.
 A malformed number is an error that names its section and key.
 
 Built-in presets (mean, variance, ml_symmetric, ml_general) ship with the
@@ -25,6 +26,7 @@ from .moments import MOMENT_KEYS, parse_number, spec_from_config
 from .edgeworth import Mode, StatModel, build_model, model_shape
 
 _STAT_KEYS = {"name", "g", "mode", "d", "positive"}
+_RUN_KEYS = ("n", "reps", "grid", "seed", "b", "alpha")
 
 PRESETS = ("mean", "variance", "ml_symmetric", "ml_general")
 
@@ -71,6 +73,21 @@ def _resolve(path_or_name: str) -> str:
     raise ConfigError(f"no such config file or preset: {path_or_name!r}")
 
 
+def _section(cp: configparser.ConfigParser, name: str,
+             known: tuple[str, ...]) -> dict[str, str]:
+    """Section ``name`` with lower-cased keys (``Gamma1`` is ``gamma1``); a
+    key outside ``known``, or one given twice, is an error."""
+    out: dict[str, str] = {}
+    for key, value in cp[name].items():
+        low = key.lower()
+        if low not in known:
+            raise ConfigError(f"unknown [{name}] key {key!r}; known keys: {', '.join(known)}")
+        if low in out:
+            raise ConfigError(f"[{name}] key {key!r} given twice")
+        out[low] = value
+    return out
+
+
 def load_config(path_or_name: str) -> FullConfig:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep the case of parameters such as U and L
@@ -95,31 +112,22 @@ def load_config(path_or_name: str) -> FullConfig:
     )
     run = RunConfig()
     if "run" in cp:
-        rn = cp["run"]
+        rn = _section(cp, "run", _RUN_KEYS)
 
-        def integer(key: str, default):
-            return parse_number(rn.get(key, default), f"[run] {key}", int)
+        def number(key: str, default, convert=int):
+            return parse_number(rn.get(key, default), f"[run] {key}", convert)
 
         run = RunConfig(
-            n=integer("n", run.n),
-            reps=integer("reps", run.reps),
+            n=number("n", run.n),
+            reps=number("reps", run.reps),
             grid=rn.get("grid", run.grid),
-            seed=integer("seed", None) if "seed" in rn else None,
-            B=integer("B", rn.get("b", run.B)),
-            alpha=parse_number(rn.get("alpha", run.alpha), "[run] alpha", float),
+            seed=number("seed", None) if "seed" in rn else None,
+            B=number("b", run.B),
+            alpha=number("alpha", run.alpha, float),
         )
     moments = {"distribution": "symbolic"}
     if "moments" in cp:
-        # keys are case-insensitive (Gamma1 = gamma1); an unread key is an error
-        moments = {}
-        for key, value in cp["moments"].items():
-            name = key.lower()
-            if name not in MOMENT_KEYS:
-                raise ConfigError(f"unknown [moments] key {key!r}; known keys: "
-                                  f"{', '.join(MOMENT_KEYS)}")
-            if name in moments:
-                raise ConfigError(f"[moments] key {key!r} given twice")
-            moments[name] = value
+        moments = _section(cp, "moments", MOMENT_KEYS)
     return FullConfig(statistic=stat, moments=moments, run=run)
 
 

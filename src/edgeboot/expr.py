@@ -1,8 +1,11 @@
 """Expression language for statistics and symbolic results.
 
-An :class:`Expr` is an immutable tree over exact rational constants, named
+An :class:`Expr` is a hash-consed DAG over exact rational constants, named
 symbols, power-mean slots ``x1..xd``, sums, products, rational powers and the
 primitives ``exp``, ``Phi`` (standard normal CDF) and ``phi`` (its density).
+Every structure is built once: constructing a node equal to a live one
+returns that node, so ``==`` and ``hash`` are identity and O(1), and memos
+keyed by node ``id`` share work between structurally equal subtrees.
 Decimal literals are rejected on input: every constant is an exact
 ``Fraction`` so that derived coefficients like ``5/72`` stay exact.
 
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -53,10 +57,37 @@ RESERVED_SYMBOLS = frozenset(
 _FUNCTIONS = ("exp", "sqrt", "Phi", "phi")
 
 
-class Expr:
-    """Base class for expression nodes.  Instances are immutable values."""
+# (node class, *fields) -> the live node with those fields.  Weak, so the
+# table keeps no node alive; an entry goes with the last reference to it.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    __slots__ = ()
+
+class _Interned(type):
+    """Metaclass that hash-conses nodes (Filliatre & Conchon, 2006).
+
+    ``Cls(*fields)`` returns the live node built from equal fields if there
+    is one.  Children are interned before their parents, so a key hashes and
+    compares in O(arity): child nodes by identity, constants by value.
+    """
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = super().__call__(*args)
+        return node
+
+
+class Expr(metaclass=_Interned):
+    """Base class for expression nodes.  Instances are immutable and
+    interned: equal structures are one object."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # hands back the interned node
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     # Operator sugar so generic coefficient arithmetic can run on Expr,
     # NormalForm or float values alike.
@@ -99,7 +130,7 @@ def _coerce(value) -> Expr:
     raise TypeError(f"cannot coerce {value!r} into an Expr")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
     value: Fraction
 
@@ -108,12 +139,12 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Expr):
     index: int
 
@@ -122,33 +153,33 @@ class Var(Expr):
             raise ExprError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Expr):
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Expr):
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class NormCdf(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class NormPdf(Expr):
     arg: Expr
 
@@ -634,16 +665,17 @@ def _parse_group(toks: _Tokens, kernels, start: int, opened: int, func: str | No
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer.  Deterministic; parse(pretty_print(e)) is structurally
-# equal to e for canonical ASTs.
+# Pretty printer.  Deterministic; parse(pretty_print(e)) is e for canonical
+# ASTs.
 # ---------------------------------------------------------------------------
 
 def pretty_print(e: Expr) -> str:
     """Render ``e`` in the syntax :func:`parse` reads.
 
     Each distinct node is rendered once per (precedence, sign) context it
-    occurs in, memoised by ``id`` for the call, so a DAG that shares
-    subexpressions costs its distinct nodes plus the length of the output.
+    occurs in, memoised by structure for the call (nodes are interned, so
+    the node ``id`` is the key), so a DAG that shares subexpressions costs
+    its distinct nodes plus the length of the output.
     """
     return _Printer().show(e, 0)
 
@@ -657,7 +689,8 @@ def _is_negative_leading(e: Expr) -> bool:
 
 
 class _Printer:
-    """One ``pretty_print`` call; strings keyed by ``(id(node), prec, negated)``."""
+    """One ``pretty_print`` call; strings memoised by structure, keyed by
+    ``(id(node), prec, negated)`` of the interned node."""
 
     def __init__(self):
         self.memo: dict[tuple[int, int, bool], str] = {}

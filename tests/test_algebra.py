@@ -228,6 +228,19 @@ class TestEvalNumeric:
         with pytest.raises(DomainError):
             eval_numeric(pow_(Var(1), Fraction(-1)), Bindings({}, {1: 0.0}))
 
+    def test_equal_subtrees_evaluate_once(self, monkeypatch):
+        # two separate parses build one node, so the memo sees one subtree
+        calls = []
+
+        def counting_cdf(u):
+            calls.append(u)
+            return 0.25
+
+        monkeypatch.setattr(algebra, "norm_cdf", counting_cdf)
+        e = add(parse("Phi(x1)"), parse("Phi(x1)"))
+        assert eval_numeric(e, Bindings({}, {1: 0.5})) == 0.5
+        assert calls == [0.5]
+
     def test_pi_bound_automatically(self):
         assert abs(eval_numeric(Sym("pi"), Bindings()) - math.pi) < 1e-16
 

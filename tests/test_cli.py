@@ -5,6 +5,7 @@ import math
 import pytest
 
 from edgeboot.cli import main
+from edgeboot.config import load_config
 
 
 def run(capsys, *argv):
@@ -104,6 +105,23 @@ class TestMc:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "x,empirical,normal,edge1,edge2,edge1_rearranged,edge2_rearranged"
         assert any(l.startswith("# sup_dist_edge2") for l in lines)
+
+    def test_rational_mu_and_sigma(self, capsys, tmp_path):
+        # --mu and --sigma read as exact rationals, like the model reads them
+        csvs = []
+        for mu, sigma in (("13/10", "3/2"), ("1.3", "1.5")):
+            out_file = tmp_path / f"{len(csvs)}.csv"
+            code, _, err = run(capsys, "mc", "--stat", "mean", "--moments", "gaussian",
+                               "--mu", mu, "--sigma", sigma, "--n", "5", "--reps", "500",
+                               "--grid", "-2:2:0.5", "--seed", "1", "--out", str(out_file))
+            assert (code, err) == (0, "")
+            csvs.append(out_file.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_bad_mu_names_its_flag(self, capsys, tmp_path):
+        code, out, err = run(capsys, "mc", "--stat", "mean", "--moments", "symbolic",
+                             "--mu", "1/x", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert (code, out, err) == (1, "", "error: --mu: '1/x' is not a number\n")
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +310,23 @@ class TestConfigInput:
         cfg = _config(tmp_path, moments="distribution = custom\ngamma1 = 1\nGamma1 = 2\n")
         code, out, err = run(capsys, "expand", "--stat", cfg)
         assert (code, out, err) == (1, "", "error: [moments] key 'Gamma1' given twice\n")
+
+    @pytest.mark.parametrize("key", ["B", "b"])
+    def test_run_keys_are_case_insensitive(self, tmp_path, key):
+        cfg = load_config(_config(tmp_path, run=f"{key} = 7\nREPS = 5\n"))
+        assert (cfg.run.B, cfg.run.reps) == (7, 5)
+
+    def test_unknown_run_key_is_one_error_line(self, capsys, tmp_path):
+        cfg = _config(tmp_path, run="repz = 5\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out) == (1, "")
+        assert err == ("error: unknown [run] key 'repz'; "
+                       "known keys: n, reps, grid, seed, b, alpha\n")
+
+    def test_repeated_run_key(self, capsys, tmp_path):
+        cfg = _config(tmp_path, run="b = 99\nB = 199\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out, err) == (1, "", "error: [run] key 'B' given twice\n")
 
     def test_symbolic_override_keeps_mu_and_sigma(self, capsys):
         code, out, err = run(capsys, "accel", "--stat", "ml_symmetric", "--moments", "symbolic")

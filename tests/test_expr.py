@@ -1,12 +1,17 @@
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edgeboot.expr as expr_module
 from edgeboot.expr import (
     Add,
     Const,
     Exp,
+    Expr,
     ExprError,
     KernelRegistry,
     Mul,
@@ -18,6 +23,7 @@ from edgeboot.expr import (
     Sym,
     UnsupportedExponentError,
     Var,
+    _INTERNED,
     add,
     arity,
     const,
@@ -337,6 +343,64 @@ class TestProperties:
         assert arity(add(e, const(1))) == arity(e)
         assert arity(mul(const(3), e)) == arity(e)
         assert arity(sub(e, e)) in (0, arity(e))
+
+
+_NODE_EXAMPLES = {
+    Const: (Fraction(5, 3),),
+    Sym: ("mu",),
+    Var: (3,),
+    Add: ((Var(1), Const(Fraction(1))),),
+    Mul: ((Const(Fraction(2)), Var(1)),),
+    Pow: (Var(2), Fraction(1, 2)),
+    Exp: (Var(1),),
+    NormCdf: (Var(1),),
+    NormPdf: (Var(1),),
+}
+
+
+class TestHashConsing:
+    @given(_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_print_gives_the_same_node(self, e):
+        assert parse(pretty_print(e)) is e
+
+    def test_independent_parses_give_the_same_node(self):
+        text = "Phi((lambda - x1)/sqrt(x2 - x1^2)) - exp(-x1^2/2)*sqrt(sigma + 1)"
+        first = parse(text, KernelRegistry([parse("x2 - x1^2")]))
+        second = parse(text, KernelRegistry([parse("x2 - x1^2")]))
+        assert first is second
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_node(self, clone):
+        e = parse("Phi(x1)*sqrt(sigma + 1) - phi(x2)/3 + exp(mu)")
+        assert clone(e) is e
+
+    def test_constant_value_types_share_a_node(self):
+        assert Const(2) is Const(Fraction(2)) is const(2)
+        assert type(Const(2).value) is Fraction
+
+    def test_table_keeps_no_node_alive(self):
+        gc.collect()
+        before = len(_INTERNED)
+        e = parse("exp(x7 + 12345/7)*sqrt(sigma + 98765) + Phi(x9)")
+        assert len(_INTERNED) > before
+        del e
+        gc.collect()
+        assert len(_INTERNED) == before
+
+    def test_examples_cover_every_node_class(self):
+        classes = {c for c in vars(expr_module).values()
+                   if isinstance(c, type) and issubclass(c, Expr) and c is not Expr}
+        assert set(_NODE_EXAMPLES) == classes
+
+    @pytest.mark.parametrize("cls", list(_NODE_EXAMPLES), ids=lambda c: c.__name__)
+    def test_every_node_class_interns(self, cls):
+        args = _NODE_EXAMPLES[cls]
+        node = cls(*args)
+        assert cls(*args) is node
+        assert hash(node) == object.__hash__(node)
 
 
 class TestArity:
