@@ -122,15 +122,6 @@ def _differentiate_node(e: Expr, index: int, kernels, memo) -> Expr:
     raise AlgebraError(f"unsupported primitive for differentiation: {e!r}")
 
 
-def differentiate_multi(e: Expr, indices: tuple[int, ...],
-                        kernels: KernelRegistry | None = None) -> Expr:
-    """Mixed partial; ``indices`` lists one variable index per derivative."""
-    out = e
-    for i in indices:
-        out = differentiate(out, i, kernels)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

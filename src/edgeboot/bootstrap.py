@@ -3,7 +3,9 @@
 Resampling is deterministic and parallelizable: replicate indices are drawn
 in fixed-size chunks, chunk ``c`` from the substream seeded by
 ``(seed, c)``, so the same (data, config) always yields bit-identical
-replicate lists regardless of scheduling.
+replicate lists regardless of scheduling.  The statistic is evaluated in
+blocks of ``_BLOCK_CHUNKS`` chunks, so memory stays bounded in ``B``; each
+row's replicate depends only on its own chunk, so blocking changes no value.
 
 The bias correction is ``m = Phi^{-1}(H(theta_hat))`` with ``H`` the weak
 (ties count as <=) bootstrap CDF, and quantiles use the inf-definition
@@ -27,6 +29,9 @@ from .expr import ZERO, Expr, KernelRegistry, arity
 from .moments import powers
 
 _CHUNK = 256
+_BLOCK_CHUNKS = 64  # 16,384 rows of indices and data per evaluation
+# the replicates are held, 8 B each, in a few copies while filtered and sorted
+MAX_BOOT_B = 10_000_000
 
 
 class BootstrapError(Exception):
@@ -77,6 +82,8 @@ class BootConfig:
     def __post_init__(self):
         if self.B < 1:
             raise BootstrapError("B must be >= 1")
+        if self.B > MAX_BOOT_B:
+            raise BootstrapError(f"--B {self.B} is more than the limit of {MAX_BOOT_B}")
         if not 0.0 < self.alpha < 1.0:
             raise BootstrapError("alpha must lie in (0, 1)")
 
@@ -98,13 +105,21 @@ class BcaResult:
     nan_count: int
 
 
-def _resample_indices(n: int, B: int, seed: int) -> np.ndarray:
+def _resample_indices(n: int, B: int, seed: int, first_chunk: int = 0) -> np.ndarray:
+    """B rows of indices from the chunks starting at ``first_chunk``."""
     blocks = []
-    for c in range((B + _CHUNK - 1) // _CHUNK):
-        size = min(_CHUNK, B - c * _CHUNK)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+    for k in range((B + _CHUNK - 1) // _CHUNK):
+        size = min(_CHUNK, B - k * _CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, first_chunk + k]))
         blocks.append(rng.integers(0, n, size=(size, n)))
     return np.vstack(blocks)
+
+
+def _resample_blocks(n: int, B: int, seed: int):
+    """The rows of ``_resample_indices(n, B, seed)``, _BLOCK_CHUNKS chunks at a time."""
+    rows = _BLOCK_CHUNKS * _CHUNK
+    for start in range(0, B, rows):
+        yield _resample_indices(n, min(rows, B - start), seed, start // _CHUNK)
 
 
 def _exhaustive_rows(n: int):
@@ -128,14 +143,11 @@ def resample_distribution(
     n = w.size
     if n < 2:
         raise BootstrapError("need at least two observations")
-    values: list[np.ndarray] = []
     if cfg.exhaustive:
-        for rows in _exhaustive_rows(n):
-            values.append(stat(w[rows]))
-        reps = np.concatenate(values)
+        blocks = _exhaustive_rows(n)
     else:
-        idx = _resample_indices(n, cfg.B, cfg.seed)
-        reps = stat(w[idx])
+        blocks = _resample_blocks(n, cfg.B, cfg.seed)
+    reps = np.concatenate([stat(w[rows]) for rows in blocks])
     finite = reps[np.isfinite(reps)]
     nan_count = int(reps.size - finite.size)
     if finite.size == 0:

@@ -57,9 +57,22 @@ RESERVED_SYMBOLS = frozenset(
 _FUNCTIONS = ("exp", "sqrt", "Phi", "phi")
 
 
-# (node class, *fields) -> the live node with those fields.  Weak, so the
-# table keeps no node alive; an entry goes with the last reference to it.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (node class, *fields) -> weak reference to the live node with those fields.
+# Weak, so the table keeps no node alive; an entry goes with its node.
+_INTERNED: dict[tuple, _Entry] = {}
+
+
+class _Entry(weakref.ref):
+    """The table's reference to a node; knows its key for the removal."""
+
+    __slots__ = ("key",)
+
+
+def _evict(entry: _Entry, table=_INTERNED) -> None:
+    # a callback can run after an equal node was interned anew (by another
+    # callback of the same death): that node's entry stays
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 class _Interned(type):
@@ -72,9 +85,12 @@ class _Interned(type):
 
     def __call__(cls, *args):
         key = (cls, *args)
-        node = _INTERNED.get(key)
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
         if node is None:
-            node = _INTERNED[key] = super().__call__(*args)
+            node = super().__call__(*args)
+            entry = _INTERNED[key] = _Entry(node, _evict)
+            entry.key = key
         return node
 
 

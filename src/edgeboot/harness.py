@@ -8,13 +8,18 @@ per grid point plus a trailing summary block of sup-distances (as
 written; the rearranged ones are clipped to [0,1] and sorted.
 
 Replications are drawn in fixed chunks from substreams seeded by
-``(seed, chunk)``: the same configuration yields a bit-identical CSV, and
-chunks can be generated in parallel.
+``(seed, chunk)``.  The chunks are drawn and reduced to power means on up to
+:data:`MAX_WORKERS` threads, and the statistic is evaluated on the calling
+thread in chunk order.  A chunk's draws depend only on ``(seed, chunk)``, so
+the same configuration yields a bit-identical CSV whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -27,6 +32,11 @@ from .rearrange import Curve, clip01, is_nondecreasing, rearrange_increasing
 
 _CHUNK_ROWS = 65536
 MAX_GRID_POINTS = 100_000  # each point costs a CSV row and four expansion evaluations
+# every kept rep is held twice while the chunks are joined, 8 B each: 0.8 GB at the cap
+MAX_REPS = 50_000_000
+MAX_WORKERS = 4
+# the draws of the chunks in flight stay within this many bytes
+_INFLIGHT_BYTES = 256 * 2**20
 
 CSV_HEADER = "x,empirical,normal,edge1,edge2,edge1_rearranged,edge2_rearranged"
 
@@ -50,6 +60,8 @@ class McConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise HarnessError("reps must be >= 1")
+        if self.reps > MAX_REPS:
+            raise HarnessError(f"--reps {self.reps} is more than the limit of {MAX_REPS}")
         if self.n < 2:
             raise HarnessError("n must be >= 2")
         _check_grid_size(len(self.grid), "grid")
@@ -87,29 +99,55 @@ def _draw(cfg: McConfig, rng: np.random.Generator, rows: int) -> np.ndarray:
     raise HarnessError(f"unknown distribution {cfg.distribution!r}")
 
 
+def _worker_count(n: int) -> int:
+    """Threads for the draws: the CPUs this process may run on, at most
+    MAX_WORKERS, and few enough that the chunks in flight stay within
+    _INFLIGHT_BYTES (a chunk holds its draws and one live power)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    per_chunk = _CHUNK_ROWS * n * 8 * 2
+    return max(1, min(cpus, MAX_WORKERS, _INFLIGHT_BYTES // per_chunk))
+
+
+def _chunk_means(cfg: McConfig, dims: int, c: int) -> dict[int, np.ndarray]:
+    """Row means of the first ``dims`` powers of chunk ``c``'s draws.
+
+    Runs on a worker thread: numpy only, so no Expr is built and no
+    statistic is evaluated here."""
+    rows = min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
+    w = _draw(cfg, rng, rows)
+    return {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, dims), start=1)}
+
+
 def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarray, int]:
     """All finite draws of the normalized statistic, and the excluded count."""
     if not model.is_numeric:
         raise HarnessError("simulation needs a numeric moment spec")
-    dims = model.dims
     sqrt_n = math.sqrt(cfg.n) * cfg.statistic_scale
+    n_chunks = -(-cfg.reps // _CHUNK_ROWS)
+    workers = _worker_count(cfg.n)
     chunks: list[np.ndarray] = []
     excluded = 0
-    produced = 0
-    chunk_index = 0
-    while produced < cfg.reps:
-        rows = min(_CHUNK_ROWS, cfg.reps - produced)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_index]))
-        w = _draw(cfg, rng, rows)
-        means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, dims), start=1)}
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
-        vals = sqrt_n * np.asarray(vals, dtype=float)
-        keep = vals[np.isfinite(vals)]
-        excluded += vals.size - keep.size
-        chunks.append(keep)
-        produced += rows
-        chunk_index += 1
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        # at most `workers` chunks in flight; results are taken in chunk order
+        pending = deque(pool.submit(_chunk_means, cfg, model.dims, c)
+                        for c in range(min(workers, n_chunks)))
+        for c in range(n_chunks):
+            means = pending.popleft().result()
+            if c + workers < n_chunks:
+                pending.append(pool.submit(_chunk_means, cfg, model.dims, c + workers))
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
+            vals = sqrt_n * np.asarray(vals, dtype=float)
+            keep = vals[np.isfinite(vals)]
+            excluded += vals.size - keep.size
+            chunks.append(keep)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     values = np.concatenate(chunks)
     if values.size == 0:
         raise HarnessError("statistic undefined on every draw")

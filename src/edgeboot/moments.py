@@ -227,17 +227,6 @@ class MomentTable:
             raise MomentError(f"index beyond model dimension {self.dims}")
         return cross_moment(self.spec, tuple(sorted(indices)))
 
-    def pair_matrix(self) -> np.ndarray:
-        """Numeric [mu_ij] Gram matrix (numeric specs only)."""
-        if self.spec.is_symbolic:
-            raise MomentError("pair_matrix requires a numeric spec")
-        d = self.dims
-        out = np.empty((d, d))
-        for i in range(1, d + 1):
-            for j in range(i, d + 1):
-                out[i - 1, j - 1] = out[j - 1, i - 1] = float(self.get((i, j)))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Config loading

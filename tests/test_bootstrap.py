@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from edgeboot import bootstrap
 from edgeboot.bootstrap import (
     BiasCorrectionUndefinedError,
     BootConfig,
@@ -56,6 +57,17 @@ class TestResampleDistribution:
         assert np.array_equal(a, b)
         c, _ = resample_distribution(data, BootConfig(B=513, seed=100, alpha=0.1), stat)
         assert not np.array_equal(a, c)
+
+    def test_blocks_equal_one_shot_resampling(self, variance_model):
+        # one full block of 64 chunks and a partial second one
+        stat = statistic_evaluator(variance_model)
+        w = np.random.default_rng(8).exponential(1.0, 50)
+        B = bootstrap._BLOCK_CHUNKS * bootstrap._CHUNK + 300
+        assert B == 16384 + 300
+        want = np.sort(stat(w[bootstrap._resample_indices(w.size, B, 21)]))
+        got, nan_count = resample_distribution(w, BootConfig(B=B, seed=21, alpha=0.1), stat)
+        assert nan_count == 0
+        assert np.array_equal(got, want)
 
     def test_needs_two_points(self, mean_model):
         with pytest.raises(BootstrapError):

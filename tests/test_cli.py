@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from edgeboot import bootstrap, harness
 from edgeboot.cli import main
 from edgeboot.config import load_config
 
@@ -12,6 +13,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _Drew(Exception):
+    """Raised in place of a draw: the run got as far as drawing."""
+
+
+def _no_draws(monkeypatch, module, name):
+    def refuse(*args, **kwargs):
+        raise _Drew
+
+    monkeypatch.setattr(module, name, refuse)
 
 
 class TestExpand:
@@ -128,6 +140,22 @@ class TestMc:
             main(["mc", "--stat", "mean", "--out", "x.csv"])
         assert exc.value.code == 2
 
+    def _mc_reps(self, capsys, tmp_path, reps):
+        return run(capsys, "mc", "--stat", "mean", "--moments", "gaussian", "--n", "5",
+                   "--reps", str(reps), "--grid", "-2:2:1", "--seed", "1",
+                   "--out", str(tmp_path / "x.csv"))
+
+    def test_reps_at_the_cap_reaches_the_draws(self, capsys, tmp_path, monkeypatch):
+        _no_draws(monkeypatch, harness, "_draw")
+        with pytest.raises(_Drew):
+            self._mc_reps(capsys, tmp_path, harness.MAX_REPS)
+
+    def test_reps_over_the_cap_fails_before_drawing(self, capsys, tmp_path, monkeypatch):
+        _no_draws(monkeypatch, harness, "_draw")
+        code, out, err = self._mc_reps(capsys, tmp_path, harness.MAX_REPS + 1)
+        assert (code, out) == (1, "")
+        assert err == "error: --reps 50000001 is more than the limit of 50000000\n"
+
 
 class TestBca:
     def test_report(self, capsys, tmp_path):
@@ -180,6 +208,23 @@ class TestBca:
         assert report["theta_hat"] == pytest.approx(math.sqrt(m2 - m1 * m1) / m1, rel=1e-12)
         assert report["lower"] <= report["theta_hat"] <= report["upper"]
         assert report["B"] == 1000
+
+    def _bca_B(self, capsys, tmp_path, B):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0\n2.0\n4.0\n")
+        return run(capsys, "bca", "--stat", "mean", "--data", str(data),
+                   "--B", str(B), "--seed", "1")
+
+    def test_B_at_the_cap_reaches_the_draws(self, capsys, tmp_path, monkeypatch):
+        _no_draws(monkeypatch, bootstrap, "_resample_indices")
+        with pytest.raises(_Drew):
+            self._bca_B(capsys, tmp_path, bootstrap.MAX_BOOT_B)
+
+    def test_B_over_the_cap_fails_before_drawing(self, capsys, tmp_path, monkeypatch):
+        _no_draws(monkeypatch, bootstrap, "_resample_indices")
+        code, out, err = self._bca_B(capsys, tmp_path, bootstrap.MAX_BOOT_B + 1)
+        assert (code, out) == (1, "")
+        assert err == "error: --B 10000001 is more than the limit of 10000000\n"
 
     @pytest.mark.parametrize("option", [["--mode", "plain"], ["--moments", "gaussian"],
                                         ["--mu", "1"], ["--sigma", "2"]])

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -389,6 +390,20 @@ class TestHashConsing:
         del e
         gc.collect()
         assert len(_INTERNED) == before
+
+    def test_a_dead_twin_keeps_the_new_node_interned(self):
+        # The table's reference is the first weak reference to the node, so
+        # when the node dies the probe's callback (registered later) runs
+        # first and interns an equal node while the table still holds the
+        # dead entry.  The dead entry's own callback must not evict the new
+        # node.
+        twins = []
+        node = Exp(Sym("twin_probe"))
+        probe = weakref.ref(node, lambda _: twins.append(Exp(Sym("twin_probe"))))
+        del node
+        gc.collect()
+        assert probe() is None and len(twins) == 1
+        assert Exp(Sym("twin_probe")) is twins[0]
 
     def test_examples_cover_every_node_class(self):
         classes = {c for c in vars(expr_module).values()

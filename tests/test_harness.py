@@ -1,17 +1,20 @@
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import betainc
 
 from edgeboot.edgeworth import Mode, build_model, cumulant_coeffs, edgeworth_polys
+from edgeboot.algebra import Bindings, eval_numeric
 from edgeboot.expr import parse
 from edgeboot import harness
 from edgeboot.cli import main
 from edgeboot.harness import (
     CSV_HEADER,
     MAX_GRID_POINTS,
+    MAX_WORKERS,
     HarnessError,
     McConfig,
     compare_and_emit,
@@ -19,7 +22,7 @@ from edgeboot.harness import (
     simulate_statistic_cdf,
     simulate_statistic_values,
 )
-from edgeboot.moments import exponential_spec, gaussian_spec
+from edgeboot.moments import exponential_spec, gaussian_spec, powers
 from edgeboot.rearrange import is_nondecreasing
 
 
@@ -216,3 +219,69 @@ class TestValidation:
             McConfig("gaussian", n=1, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
         with pytest.raises(HarnessError):
             McConfig("gaussian", n=10, reps=0, grid=parse_grid("-1:1:0.5"), seed=1)
+
+
+def _serial_values(model, cfg):
+    """The single-thread loop: draw, reduce and evaluate each chunk in turn."""
+    chunks, excluded, produced, c = [], 0, 0, 0
+    while produced < cfg.reps:
+        rows = min(harness._CHUNK_ROWS, cfg.reps - produced)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
+        w = harness._draw(cfg, rng, rows)
+        means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, model.dims), start=1)}
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
+        vals = math.sqrt(cfg.n) * cfg.statistic_scale * np.asarray(vals, dtype=float)
+        keep = vals[np.isfinite(vals)]
+        excluded += vals.size - keep.size
+        chunks.append(keep)
+        produced += rows
+        c += 1
+    return np.concatenate(chunks), excluded
+
+
+class TestWorkers:
+    def test_thread_count_changes_no_value(self, monkeypatch):
+        # sqrt(x1) is undefined on part of the draws, so the excluded count
+        # is compared too; the last chunk is partial
+        from edgeboot.expr import KernelRegistry, Var
+
+        reg = KernelRegistry([Var(1)])
+        model = build_model(parse("sqrt(x1)", reg), Mode.NONSTUDENTIZED,
+                            gaussian_spec(0.5, 1.0, 8), kernels=reg)
+        cfg = McConfig("gaussian", n=3, mu=0.5, reps=2 * harness._CHUNK_ROWS + 5,
+                       grid=parse_grid("-1:1:0.5"), seed=77)
+        want, want_excluded = _serial_values(model, cfg)
+        assert want_excluded > 0
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(harness, "_worker_count", lambda n, k=workers: k)
+            got, excluded = simulate_statistic_values(model, cfg)
+            assert np.array_equal(got, want), workers
+            assert excluded == want_excluded, workers
+
+    def test_worker_count_bounds(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert harness._worker_count(10) == MAX_WORKERS
+        # one chunk of n = 256 draws and a power is 256 MiB
+        assert harness._worker_count(256) == 1
+        assert harness._worker_count(10**6) == 1
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        assert harness._worker_count(10) == 1
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert harness._worker_count(10) == min(3, MAX_WORKERS)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._worker_count(10) == 1
+
+    def test_worker_error_reaches_the_caller_and_threads_end(self, plain_mean_model,
+                                                             monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 3)
+        cfg = McConfig("uniform", n=10, reps=5 * harness._CHUNK_ROWS,
+                       grid=parse_grid("-1:1:0.5"), seed=1)
+        before = threading.active_count()
+        with pytest.raises(HarnessError, match="unknown distribution"):
+            simulate_statistic_values(plain_mean_model, cfg)
+        assert threading.active_count() == before
