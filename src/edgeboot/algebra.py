@@ -22,11 +22,10 @@ deterministic pseudo-random bindings and is reported as numeric.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .expr import (
     Add,
@@ -51,6 +50,9 @@ from .expr import (
     pretty_print,
     sub,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AlgebraError(Exception):
@@ -169,7 +171,7 @@ def substitute(e: Expr, mapping: Mapping[Expr, Expr],
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
-Number = Union[float, np.ndarray]
+Number = Union[float, "np.ndarray"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -188,8 +190,17 @@ class Bindings:
     vars: Mapping[int, Number] = field(default_factory=dict)
 
 
+def _is_array(x) -> bool:
+    """Whether ``x`` is a numpy array, without importing numpy: no array can
+    exist before numpy has been imported."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
+# numpy and scipy load on the first array or quantile, so the symbolic
+# commands never pay for them
 def norm_cdf(u: Number) -> Number:
-    if isinstance(u, np.ndarray):
+    if _is_array(u):
         from scipy.special import ndtr
 
         return ndtr(u)
@@ -197,9 +208,18 @@ def norm_cdf(u: Number) -> Number:
 
 
 def norm_pdf(u: Number) -> Number:
-    if isinstance(u, np.ndarray):
+    if _is_array(u):
+        import numpy as np
+
         return _INV_SQRT_2PI * np.exp(-0.5 * u * u)
     return _INV_SQRT_2PI * math.exp(-0.5 * u * u)
+
+
+def norm_ppf(p: float) -> float:
+    """The standard normal quantile Phi^{-1}(p)."""
+    from scipy.special import ndtri
+
+    return float(ndtri(p))
 
 
 def eval_numeric(e: Expr, b: Bindings) -> Number:
@@ -247,7 +267,9 @@ def _eval_node(e: Expr, b: Bindings, memo: dict[int, Number]) -> Number:
     if isinstance(e, Pow):
         base = _eval(e.base, b, memo)
         q = e.exponent
-        if isinstance(base, np.ndarray):
+        if _is_array(base):
+            import numpy as np
+
             with np.errstate(invalid="ignore", divide="ignore"):
                 return np.power(base, float(q))
         if q.denominator == 2 and base < 0:
@@ -260,7 +282,9 @@ def _eval_node(e: Expr, b: Bindings, memo: dict[int, Number]) -> Number:
             raise DomainError(f"{base} ^ ({q}) overflows a double") from None
     if isinstance(e, Exp):
         u = _eval(e.arg, b, memo)
-        if isinstance(u, np.ndarray):
+        if _is_array(u):
+            import numpy as np
+
             return np.exp(u)
         try:
             return math.exp(u)
@@ -973,6 +997,8 @@ def random_bindings(e: Expr, rng: np.random.Generator) -> Bindings:
 
 
 def _numeric_agree(a: Expr, b: Expr) -> bool:
+    import numpy as np
+
     rng = np.random.default_rng(_NUMERIC_EQ_SEED)
     both = sub(a, b)
     hits = 0

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from .algebra import Bindings, eval_numeric, differentiate
-from .edgeworth import StatModel
-from .expr import ZERO, Expr, KernelRegistry, arity
+from .algebra import Bindings, eval_numeric, differentiate, norm_cdf, norm_ppf
+from .edgeworth import Statistic, StatModel
+from .expr import ZERO, arity
 from .moments import powers
 
 _CHUNK = 256
@@ -43,16 +42,6 @@ class BiasCorrectionUndefinedError(BootstrapError):
 
 
 StatFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """All the bootstrap reads of a statistic: g, its parameter values and
-    its square-root kernels.  A :class:`StatModel` serves as well."""
-
-    g: Expr
-    params: Mapping[str, float]
-    kernels: KernelRegistry
 
 
 def statistic_evaluator(model: StatModel | Statistic) -> StatFn:
@@ -83,7 +72,7 @@ class BootConfig:
         if self.B < 1:
             raise BootstrapError("B must be >= 1")
         if self.B > MAX_BOOT_B:
-            raise BootstrapError(f"--B {self.B} is more than the limit of {MAX_BOOT_B}")
+            raise BootstrapError(f"B {self.B} is more than the limit of {MAX_BOOT_B}")
         if not 0.0 < self.alpha < 1.0:
             raise BootstrapError("alpha must lie in (0, 1)")
 
@@ -213,17 +202,15 @@ def bca_from_replicates(
         raise BiasCorrectionUndefinedError(
             f"H(theta_hat)={h0}: bias correction undefined"
         )
-    m_hat = float(ndtri(h0))
+    m_hat = norm_ppf(h0)
 
     def bca_rank(level: float) -> int:
         if a_hat == 0.0 and m_hat == 0.0:
             return h_inverse_rank(B, level)  # formula reduces to the identity
-        z = float(ndtri(level))
+        z = norm_ppf(level)
         denom = 1.0 - a_hat * (m_hat + z)
         if denom <= 0.0:
             raise BootstrapError("acceleration correction out of range")
-        from .algebra import norm_cdf
-
         adjusted = norm_cdf(m_hat + (m_hat + z) / denom)
         return h_inverse_rank(B, float(adjusted))
 

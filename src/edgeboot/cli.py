@@ -15,7 +15,6 @@ import json
 import sys
 
 from .algebra import AlgebraError, Bindings
-from .bootstrap import BootConfig, BootstrapError, bca_interval
 from .codegen import CodegenError, emit_assignments
 from .config import (
     ConfigError,
@@ -39,21 +38,46 @@ from .edgeworth import (
     quantile_eval,
 )
 from .expr import Expr, ExprError, Sym, pretty_print
-from .harness import HarnessError, McConfig, compare_and_emit, parse_grid
 from .moments import MomentError, _read_column, parse_number
 
 _ERRORS = (
     AlgebraError,
-    BootstrapError,
     CodegenError,
     ConfigError,
     ExprError,
-    HarnessError,
     ModelError,
     MomentError,
     OSError,
     ValueError,
 )
+# the errors of the modules that load numpy: each is reported like those
+# above once its module is imported, and cannot be raised before
+_LAZY_ERRORS = (("edgeboot.harness", "HarnessError"), ("edgeboot.bootstrap", "BootstrapError"))
+
+
+def _reported_errors() -> tuple[type[BaseException], ...]:
+    return _ERRORS + tuple(getattr(sys.modules[mod], name)
+                           for mod, name in _LAZY_ERRORS if mod in sys.modules)
+
+
+# harness and bootstrap import numpy, so mc and bca import them on first call,
+# through these module attributes
+def parse_grid(text: str) -> tuple[float, ...]:
+    from .harness import parse_grid
+
+    return parse_grid(text)
+
+
+def compare_and_emit(model, mc, p1, p2, out):
+    from .harness import compare_and_emit
+
+    return compare_and_emit(model, mc, p1, p2, out)
+
+
+def bca_interval(data, boot, stat):
+    from .bootstrap import bca_interval
+
+    return bca_interval(data, boot, stat)
 
 
 def _fmt(value) -> object:
@@ -188,14 +212,27 @@ def _cmd_quantile(args) -> int:
     return 0
 
 
+def _run_setting(args, cfg: FullConfig, name: str, limit: float | None = None):
+    """The value of ``--<name>``, else of ``[run] <name>``.  A value over
+    ``limit`` is an error that names where it came from."""
+    value, source = getattr(args, name), f"--{name}"
+    if value is None:
+        value, source = getattr(cfg.run, name), f"[run] {name.lower()}"
+    if limit is not None and value > limit:
+        raise ConfigError(f"{source} {value} is more than the limit of {limit}")
+    return value
+
+
 def _cmd_mc(args) -> int:
+    from .harness import MAX_REPS, McConfig
+
     model, cfg = _build_model(args)
     _, p1, p2, _, _ = _polys(model)
-    grid = parse_grid(args.grid or cfg.run.grid)
+    grid = parse_grid(_run_setting(args, cfg, "grid"))
     mc = McConfig(
         distribution=args.dist,
-        n=args.n or cfg.run.n,
-        reps=args.reps or cfg.run.reps,
+        n=_run_setting(args, cfg, "n"),
+        reps=_run_setting(args, cfg, "reps", MAX_REPS),
         grid=grid,
         seed=args.seed,
         mu=parse_number(args.mu, "--mu") if args.mu is not None else 0.0,
@@ -218,10 +255,15 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_bca(args) -> int:
+    from .bootstrap import MAX_BOOT_B, BootConfig
+
+    cfg = load_config(args.stat)
     # the interval reads only the data and the statistic: no moment model
-    stat = statistic_from_config(load_config(args.stat), _param_override(args))
+    stat = statistic_from_config(cfg, _param_override(args))
     data = _read_column(args.data)
-    boot = BootConfig(B=args.B, seed=args.seed, alpha=args.alpha)
+    alpha = _run_setting(args, cfg, "alpha")
+    boot = BootConfig(B=_run_setting(args, cfg, "B", MAX_BOOT_B), seed=args.seed,
+                      alpha=alpha)
     result = bca_interval(data, boot, stat)
     report = {
         "theta_hat": result.theta_hat,
@@ -232,7 +274,7 @@ def _cmd_bca(args) -> int:
         "percentile_lower": result.percentile_lower,
         "percentile_upper": result.percentile_upper,
         "B": int(result.H_hat.size),
-        "alpha": args.alpha,
+        "alpha": alpha,
         "nan_count": result.nan_count,
     }
     if args.out:
@@ -314,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     _statistic_args(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--data", required=True, help="one-column CSV, optional header")
-    p.add_argument("--B", type=int, default=1999)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--B", type=int, default=None, help="default: [run] b")
+    p.add_argument("--alpha", type=float, default=None, help="default: [run] alpha")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_bca)
 
@@ -344,7 +386,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(joined)
     try:
         return args.fn(args)
-    except _ERRORS as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

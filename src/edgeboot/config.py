@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .bootstrap import Statistic
 from .expr import KernelRegistry, parse
 from .moments import MOMENT_KEYS, parse_number, spec_from_config
-from .edgeworth import Mode, StatModel, build_model, model_shape
+from .edgeworth import Mode, Statistic, StatModel, build_model, model_shape
 
 _STAT_KEYS = {"name", "g", "mode", "d", "positive"}
 _RUN_KEYS = ("n", "reps", "grid", "seed", "b", "alpha")

@@ -29,14 +29,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Union
 
-from scipy.special import ndtri
-
 from .algebra import (
     Bindings,
     NormalForm,
     TranscendentalResidueError,
     norm_cdf,
     norm_pdf,
+    norm_ppf,
     _to_nf,
     differentiate,
     eval_numeric,
@@ -101,6 +100,16 @@ class StatModel:
     @property
     def is_numeric(self) -> bool:
         return not self.spec.is_symbolic
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """All the bootstrap reads of a statistic: g, its parameter values and
+    its square-root kernels.  A :class:`StatModel` serves as well."""
+
+    g: Expr
+    params: Mapping[str, float]
+    kernels: KernelRegistry
 
 
 def _sorted_tuples(dims: int, order: int):
@@ -648,5 +657,5 @@ def quantile_eval(
         raise ModelError("alpha must lie in (0, 1)")
     if n < 2:
         raise ModelError("n must be >= 2")
-    z = float(ndtri(alpha))
+    z = norm_ppf(alpha)
     return z + p11.eval(z, bindings) / math.sqrt(n) + p21.eval(z, bindings) / n

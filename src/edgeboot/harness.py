@@ -61,7 +61,7 @@ class McConfig:
         if self.reps < 1:
             raise HarnessError("reps must be >= 1")
         if self.reps > MAX_REPS:
-            raise HarnessError(f"--reps {self.reps} is more than the limit of {MAX_REPS}")
+            raise HarnessError(f"reps {self.reps} is more than the limit of {MAX_REPS}")
         if self.n < 2:
             raise HarnessError("n must be >= 2")
         _check_grid_size(len(self.grid), "grid")

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 
 from .expr import Expr, ZERO, add, const, sym
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Value = Union[Expr, float]
 
@@ -119,6 +120,8 @@ def exponential_spec(scale: float = 1.0, K: int = 8) -> MomentSpec:
 
 def empirical_spec(sample: Sequence[float], K: int) -> MomentSpec:
     """Plug-in moments: divisor-n variance, standardized central moments."""
+    import numpy as np
+
     w = np.asarray(sample, dtype=float)
     n = w.size
     if n < 2:

@@ -240,6 +240,23 @@ class TestEvalNumeric:
         assert eval_numeric(e, Bindings({}, {1: 0.5})) == 0.5
         assert calls == [0.5]
 
+    # numpy scalars take the scalar branches and 0-d arrays the array ones:
+    # the value is the float bindings' value, the type the one each branch gives
+    @pytest.mark.parametrize("text, types", [
+        ("x1^2 + 3*x1*x2", ("float64", "float64", "float64")),
+        ("x2^(-3/2) + x1^(-2)", ("float", "float", "float64")),
+        ("exp(x1) - Phi(sqrt(x2)) + phi(x1*x2)", ("float", "float", "float64")),
+    ])
+    @pytest.mark.parametrize("kind", [0, 1, 2])
+    def test_numpy_scalar_and_zero_d_bindings(self, text, types, kind):
+        import numpy as np
+
+        convert, x1, x2 = [(np.float64, 0.7, 2.0), (np.int64, 1, 3), (np.array, 0.7, 2.0)][kind]
+        e = parse(text, KernelRegistry([Var(2)]))
+        got = eval_numeric(e, Bindings({}, {1: convert(x1), 2: convert(x2)}))
+        assert got == eval_numeric(e, Bindings({}, {1: float(x1), 2: float(x2)}))
+        assert type(got).__name__ == types[kind]
+
     def test_pi_bound_automatically(self):
         assert abs(eval_numeric(Sym("pi"), Bindings()) - math.pi) < 1e-16
 

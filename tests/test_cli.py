@@ -26,6 +26,16 @@ def _no_draws(monkeypatch, module, name):
     monkeypatch.setattr(module, name, refuse)
 
 
+def _with_run(tmp_path, run_section: str):
+    """The mean preset with ``run_section`` as its [run] section."""
+    from edgeboot.config import _resolve
+
+    text = _resolve("mean").split("[run]")[0] + "[run]\n" + run_section + "\n"
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
+
+
 class TestExpand:
     def test_studentized_mean_symbolic(self, capsys):
         code, out, _ = run(capsys, "expand", "--stat", "mean", "--mode", "studentized",
@@ -156,6 +166,28 @@ class TestMc:
         assert (code, out) == (1, "")
         assert err == "error: --reps 50000001 is more than the limit of 50000000\n"
 
+    def test_reps_over_the_cap_from_the_config_names_its_key(self, capsys, tmp_path,
+                                                             monkeypatch):
+        _no_draws(monkeypatch, harness, "_draw")
+        cfg = _with_run(tmp_path, f"reps = {harness.MAX_REPS + 1}")
+        code, out, err = run(capsys, "mc", "--stat", str(cfg), "--moments", "gaussian",
+                             "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: [run] reps 50000001 is more than the limit of 50000000\n"
+
+    def test_run_section_sets_n_reps_and_grid(self, capsys, tmp_path):
+        cfg = _with_run(tmp_path, "n = 5\nreps = 500\ngrid = -2:2:1")
+        flags = ("--n", "5", "--reps", "500", "--grid", "-2:2:1")
+        csvs = []
+        for extra in ((), flags):
+            out_file = tmp_path / f"{len(csvs)}.csv"
+            code, _, err = run(capsys, "mc", "--stat", str(cfg), "--moments", "gaussian",
+                               "--seed", "1", "--out", str(out_file), *extra)
+            assert (code, err) == (0, "")
+            csvs.append(out_file.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].decode().splitlines()) == 1 + 5 + 6  # header, grid, summary
+
 
 class TestBca:
     def test_report(self, capsys, tmp_path):
@@ -225,6 +257,34 @@ class TestBca:
         code, out, err = self._bca_B(capsys, tmp_path, bootstrap.MAX_BOOT_B + 1)
         assert (code, out) == (1, "")
         assert err == "error: --B 10000001 is more than the limit of 10000000\n"
+
+    def test_B_over_the_cap_from_the_config_names_its_key(self, capsys, tmp_path,
+                                                          monkeypatch):
+        _no_draws(monkeypatch, bootstrap, "_resample_indices")
+        cfg = _with_run(tmp_path, f"B = {bootstrap.MAX_BOOT_B + 1}")
+        data = tmp_path / "data.csv"
+        data.write_text("1.0\n2.0\n4.0\n")
+        code, out, err = run(capsys, "bca", "--stat", str(cfg), "--data", str(data),
+                             "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: [run] b 10000001 is more than the limit of 10000000\n"
+
+    def _bca_report(self, capsys, tmp_path, *flags):
+        cfg = _with_run(tmp_path, "B = 300\nalpha = 0.1")
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(str(v) for v in [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]))
+        code, out, err = run(capsys, "bca", "--stat", str(cfg), "--data", str(data),
+                             "--seed", "5", "--format", "json", *flags)
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    def test_run_section_sets_B_and_alpha(self, capsys, tmp_path):
+        report = self._bca_report(capsys, tmp_path)
+        assert (report["B"], report["alpha"]) == (300, 0.1)
+
+    def test_flags_override_the_run_section(self, capsys, tmp_path):
+        report = self._bca_report(capsys, tmp_path, "--B", "199", "--alpha", "0.05")
+        assert (report["B"], report["alpha"]) == (199, 0.05)
 
     @pytest.mark.parametrize("option", [["--mode", "plain"], ["--moments", "gaussian"],
                                         ["--mu", "1"], ["--sigma", "2"]])
