@@ -43,11 +43,13 @@ from .expr import (
     ZERO,
     ONE,
     add,
+    arity,
     free_symbols,
     mul,
     neg,
     pow_,
     pretty_print,
+    rational_sqrt,
     sub,
 )
 
@@ -318,15 +320,10 @@ def _norm(c: Coeff) -> Coeff:
 
 
 def _mono_key(m: Monomial):
-    # graded lex: total degree first, then the sorted (gen, exp) sequence
+    # total degree first, then the sorted (gen, exp) sequence; not a monomial
+    # order (x2 > x1 but x1*x1 > x1*x2), so it fixes only monic scaling and
+    # print order
     return (sum(e for _, e in m), m)
-
-
-def _grlex_key(m: Monomial):
-    # a true monomial order (graded, then lex from the largest generator),
-    # which long division needs; _mono_key is not one (x2 > x1 but
-    # x1*x1 > x1*x2) and stays for monic scaling and print order
-    return (sum(e for _, e in m), tuple(reversed(m)))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -365,7 +362,9 @@ class MPoly:
     A product accumulates its term products into one dict, so it costs one
     pass over the |a|*|b| term pairs.  Those with a squared or a second
     kernel are grouped by their kernel part, and each group goes through
-    :func:`_reduce_kernels` once; :meth:`divexact` by a monomial is termwise.
+    :func:`_reduce_kernels` once.  Division by a monomial is termwise; any
+    other division, and every gcd, runs in sympy's sparse ring
+    (:func:`_in_ring`).
     """
 
     __slots__ = ("terms",)
@@ -384,9 +383,6 @@ class MPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def copy(self) -> "MPoly":
-        return MPoly(dict(self.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MPoly) and self.terms == other.terms
@@ -503,8 +499,8 @@ class MPoly:
         """Exact quotient self/g, or None when g does not divide self.
 
         A one-term divisor divides termwise, in time linear in ``self``; any
-        other divisor runs polynomial long division on the leading terms
-        under a graded order, with kernels treated as plain generators.
+        other divisor goes through sympy's ``PolyElement.div``, with kernels
+        as plain generators, and divides exactly when the remainder is zero.
         """
         if g.is_zero:
             raise AlgebraError("division by zero polynomial")
@@ -520,20 +516,9 @@ class MPoly:
                     return None
                 q[mq] = _norm(c * inv)
             return MPoly(q)
-        gm = max(g.terms, key=_grlex_key)
-        gc = g.terms[gm]
-        q = {}
-        r = self.copy()
-        while not r.is_zero:
-            rm = max(r.terms, key=_grlex_key)
-            rc = r.terms[rm]
-            mq = _mono_div(rm, gm)
-            if mq is None:
-                return None
-            cq = _norm(Fraction(rc) / gc)
-            q[mq] = _norm(q.get(mq, 0) + cq)
-            r = r - g.mono_scale(mq, cq)
-        return MPoly(q)
+        (f, h), back = _in_ring([self, g])
+        q, r = f.div(h)
+        return None if r else back(q)
 
     def has_kernels(self) -> bool:
         return any(g[0] == 2 for m in self.terms for g, _ in m)
@@ -568,15 +553,6 @@ def _reduce_kernels(m: Monomial, c: Coeff) -> MPoly:
     return out
 
 
-def _rational_sqrt_split(v: Fraction) -> tuple[Fraction, int]:
-    """v = out^2 * rad with rad a square-reduced positive integer."""
-    from .expr import _split_square
-
-    pa, pb = _split_square(v.numerator)
-    qa, qb = _split_square(v.denominator)
-    return Fraction(pa, qa * qb), pb * qb
-
-
 def _gen_is_positive(g: Gen) -> bool:
     if g[0] == 0:
         return g[1] % 2 == 0  # even power-mean slots are positive
@@ -601,7 +577,7 @@ def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
     if lead_c < 0:
         raise AlgebraError(f"sqrt of a polynomial with negative leading coefficient")
     prim = p.scale(1 / cont)  # integer coefficients, gcd 1, positive lead
-    coeff, rad_const = _rational_sqrt_split(cont)
+    coeff, rad_const = rational_sqrt(cont)
     # even-power extraction of positive generators present in every monomial
     extracted: list[tuple[Gen, int]] = []
     gens = prim.gens()
@@ -703,24 +679,22 @@ class NormalForm:
         self.num, self.den = num, den
 
     def canonical(self) -> "NormalForm":
-        """Fully cancelled form (polynomial gcd via sympy)."""
+        """Fully cancelled form: ``num`` and ``den`` over their gcd.
+
+        ``PolyElement.cofactors`` returns the gcd with both quotients.
+        Kernels are plain generators there, which is enough because ``den``
+        has none: a factor of ``den`` divides ``num`` exactly when it
+        divides every kernel part of ``num``.
+        """
         if self.num.is_zero:
             return NormalForm(MPoly(), MPoly.constant(1), reduce=False)
-        den = self.den
-        if den == MPoly.constant(1):
+        if self.den.terms == _UNIT:
             return self
-        parts = _kernel_parts(self.num)
-        g = _sympy_gcd_many([den, *parts.values()])
-        if g is not None:
-            qd = den.divexact(g)
-            if qd is not None:
-                qs = {k: p.divexact(g) for k, p in parts.items()}
-                if all(v is not None for v in qs.values()):
-                    num = MPoly()
-                    for kmono, p in qs.items():
-                        num = num + p.mono_scale(kmono, 1)  # type: ignore[union-attr]
-                    return NormalForm(num, qd)
-        return NormalForm(self.num, self.den)
+        (num, den), back = _in_ring([self.num, self.den])
+        g, qn, qd = num.cofactors(den)
+        if g.is_ground:
+            return NormalForm(self.num, self.den)
+        return NormalForm(back(qn), back(qd))
 
     @property
     def is_zero(self) -> bool:
@@ -750,8 +724,7 @@ class NormalForm:
         return NormalForm(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
-    def __radd__(self, other) -> "NormalForm":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "NormalForm":
         return NormalForm(-self.num, self.den, reduce=False)
@@ -766,8 +739,7 @@ class NormalForm:
         other = _as_nf(other)
         return NormalForm(self.num * other.num, self.den * other.den)
 
-    def __rmul__(self, other) -> "NormalForm":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "NormalForm":
         return self * _as_nf(other).inverse()
@@ -833,30 +805,19 @@ def _rationalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     return num2, den2
 
 
-def _kernel_parts(num: MPoly) -> dict[Monomial, MPoly]:
-    """Split a numerator by its kernel monomial (each exponent is 0 or 1)."""
-    parts: dict[Monomial, MPoly] = {}
-    for m, c in num.terms.items():
-        kmono = tuple((g, e) for g, e in m if g[0] == 2)
-        plain = tuple((g, e) for g, e in m if g[0] != 2)
-        parts.setdefault(kmono, MPoly())
-        parts[kmono] = parts[kmono] + MPoly({plain: c})
-    return parts
+# -- sympy's sparse ring: gcd and multi-term division ------------------------
 
+def _in_ring(polys: list[MPoly]):
+    """``polys`` as elements of one sympy sparse ring over QQ, and the map
+    back to MPoly.
 
-# -- sympy bridge for polynomial gcd ----------------------------------------
-
-def _sympy_gcd_many(polys: list[MPoly]) -> MPoly | None:
-    """gcd of ``polys`` up to a rational factor, or None when it is constant.
-
-    Runs in sympy's sparse ring over QQ (heuristic integer gcd), with one
-    generator per distinct MPoly generator and no expression layer."""
+    The ring has one generator per distinct MPoly generator, kernels
+    included, so there is no expression layer; ``polys`` must have at least
+    one generator between them."""
     from sympy import QQ
     from sympy.polys.rings import ring
 
     gens = sorted({g for p in polys for g in p.gens()})
-    if not gens:
-        return None
     R = ring(",".join(f"g{i}" for i in range(len(gens))), QQ)[0]
     index = {g: i for i, g in enumerate(gens)}
     zeros = [0] * len(gens)
@@ -870,19 +831,14 @@ def _sympy_gcd_many(polys: list[MPoly]) -> MPoly | None:
             terms[tuple(exps)] = QQ(c.numerator, c.denominator)
         return R.from_dict(terms)
 
-    acc = None
-    for p in polys:
-        if p.is_zero:
-            continue  # gcd(0, q) = q
-        rp = to_ring(p)
-        acc = rp if acc is None else acc.gcd(rp)
-        if acc.is_ground:
-            return None
-    return MPoly({
-        tuple((g, e) for g, e in zip(gens, exps) if e):
-            _norm(Fraction(int(c.numerator), int(c.denominator)))
-        for exps, c in acc.terms()
-    })
+    def back(f) -> MPoly:
+        return MPoly({
+            tuple((g, e) for g, e in zip(gens, exps) if e):
+                _norm(Fraction(int(c.numerator), int(c.denominator)))
+            for exps, c in f.terms()
+        })
+
+    return [to_ring(p) for p in polys], back
 
 
 def _poly_to_expr(p: MPoly) -> Expr:
@@ -977,18 +933,21 @@ def sym_equal(a: Expr, b: Expr) -> bool:
 
 def random_bindings(e: Expr, rng: np.random.Generator) -> Bindings:
     """One random binding consistent with positivity flags."""
+    return _draw_bindings(sorted(free_symbols(e)), arity(e), rng)
+
+
+def _draw_bindings(names: list[str], d: int, rng: np.random.Generator) -> Bindings:
+    """Values for the symbols ``names``, in order, then for x1..xd."""
     syms = {}
-    for name in sorted(free_symbols(e)):
+    for name in names:
         if name == "pi":
             continue  # reserved constant, bound automatically
         if name in POSITIVE_SYMBOLS:
             syms[name] = float(rng.uniform(0.5, 2.0))
         else:
             syms[name] = float(rng.uniform(-2.0, 2.0))
-    from .expr import arity
-
     vars_ = {}
-    for i in range(1, arity(e) + 1):
+    for i in range(1, d + 1):
         if i % 2 == 0:
             vars_[i] = float(rng.uniform(0.5, 3.0))
         else:
@@ -1001,11 +960,12 @@ def _numeric_agree(a: Expr, b: Expr) -> bool:
 
     rng = np.random.default_rng(_NUMERIC_EQ_SEED)
     both = sub(a, b)
+    names, d = sorted(free_symbols(both)), arity(both)
     hits = 0
     attempts = 0
     while hits < _NUMERIC_EQ_TRIALS and attempts < 40 * _NUMERIC_EQ_TRIALS:
         attempts += 1
-        bind = random_bindings(both, rng)
+        bind = _draw_bindings(names, d, rng)
         try:
             va = eval_numeric(a, bind)
             vb = eval_numeric(b, bind)

@@ -24,7 +24,7 @@ import re
 import weakref
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -341,16 +341,13 @@ def _split_square(m: int) -> tuple[int, int]:
     return a, b * m
 
 
-def _sqrt_of_fraction(v: Fraction) -> Expr:
-    """Exact square root of a positive rational: ``a * sqrt(b)``."""
+def rational_sqrt(v: Fraction) -> tuple[Fraction, int]:
+    """``sqrt(v) = coeff * sqrt(rad)`` for a positive rational ``v``, as
+    ``(coeff, rad)`` with ``rad`` a square-reduced positive integer."""
     pa, pb = _split_square(v.numerator)
     qa, qb = _split_square(v.denominator)
     # sqrt(p/q) = (pa/qa) * sqrt(pb*qb) / qb
-    coeff = Fraction(pa, qa * qb)
-    rad = pb * qb
-    if rad == 1:
-        return Const(coeff)
-    return mul(Const(coeff), Pow(Const(Fraction(rad)), Fraction(1, 2)))
+    return Fraction(pa, qa * qb), pb * qb
 
 
 def pow_(base: Expr, exponent: Rational, kernels: KernelRegistry | None = None) -> Expr:
@@ -372,7 +369,13 @@ def pow_(base: Expr, exponent: Rational, kernels: KernelRegistry | None = None) 
             return Const(base.value ** q.numerator)
         if base.value < 0:
             raise PositivityError(f"sqrt of negative constant {base.value}")
-        return _pow_root(_sqrt_of_fraction(base.value), q.numerator)
+        # v^(m/2) = coeff^m * rad^(m // 2) * sqrt(rad), as m is odd here
+        m = q.numerator
+        coeff, rad = rational_sqrt(base.value)
+        out = Const(coeff**m * Fraction(rad) ** (m // 2))
+        if rad == 1:
+            return out
+        return mul(out, Pow(Const(Fraction(rad)), Fraction(1, 2)))
     if isinstance(base, Pow):
         folded = base.exponent * q
         if q.denominator == 1 or is_positive_known(base.base, kernels):
@@ -382,31 +385,6 @@ def pow_(base: Expr, exponent: Rational, kernels: KernelRegistry | None = None) 
             f"half-integer power of a base not registered as positive: {pretty_print(base)}"
         )
     return Pow(base, q)
-
-
-def _pow_root(root: Expr, m: int) -> Expr:
-    """(sqrt v)**m for the exact-root expression returned by _sqrt_of_fraction."""
-    if m == 1:
-        return root
-    if isinstance(root, Const):
-        return Const(root.value ** m)
-    # root = coeff * rad^(1/2): split and recombine exactly
-    coeff = Fraction(1)
-    rad = None
-    factors = root.factors if isinstance(root, Mul) else (root,)
-    for f in factors:
-        if isinstance(f, Const):
-            coeff *= f.value
-        else:
-            rad = f  # Pow(Const(r), 1/2)
-    assert isinstance(rad, Pow)
-    r = rad.base.value  # type: ignore[union-attr]
-    odd = m % 2  # m = 2*half + odd with odd in {0, 1}
-    half = (m - odd) // 2
-    out = Const(coeff**m * r**half)
-    if odd:
-        return mul(out, rad)
-    return out
 
 
 def neg(e: Expr) -> Expr:
@@ -433,39 +411,39 @@ def var(index: int) -> Var:
     return Var(index)
 
 
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Exp, NormCdf, NormPdf)):
+        return (e.arg,)
+    return ()
+
+
+def _nodes(e: Expr) -> Iterator[Expr]:
+    """Every distinct node of ``e``, each once: a shared subtree is visited
+    once, so the walk is linear in the DAG, not in the tree it prints as."""
+    seen = {id(e)}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in _children(node):
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+
+
 def arity(e: Expr) -> int:
     """Largest variable index occurring in ``e`` (0 for constant expressions)."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Add):
-        return max((arity(t) for t in e.terms), default=0)
-    if isinstance(e, Mul):
-        return max((arity(f) for f in e.factors), default=0)
-    if isinstance(e, Pow):
-        return arity(e.base)
-    if isinstance(e, (Exp, NormCdf, NormPdf)):
-        return arity(e.arg)
-    return 0
+    return max((n.index for n in _nodes(e) if isinstance(n, Var)), default=0)
 
 
 def free_symbols(e: Expr) -> set[str]:
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Add):
-        out: set[str] = set()
-        for t in e.terms:
-            out |= free_symbols(t)
-        return out
-    if isinstance(e, Mul):
-        out = set()
-        for f in e.factors:
-            out |= free_symbols(f)
-        return out
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, (Exp, NormCdf, NormPdf)):
-        return free_symbols(e.arg)
-    return set()
+    return {n.name for n in _nodes(e) if isinstance(n, Sym)}
 
 
 # ---------------------------------------------------------------------------

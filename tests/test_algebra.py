@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeboot import algebra
+import edgeboot.expr as expr_module
 from edgeboot.algebra import (
     AlgebraError,
     Bindings,
@@ -14,9 +16,10 @@ from edgeboot.algebra import (
     MPoly,
     NormalForm,
     TranscendentalResidueError,
+    _mono_div,
     _mono_mul,
+    _norm,
     _reduce_kernels,
-    _sympy_gcd_many,
     differentiate,
     eval_numeric,
     normalize,
@@ -25,6 +28,7 @@ from edgeboot.algebra import (
     sym_equal,
 )
 from edgeboot.expr import (
+    Add,
     Exp,
     KernelRegistry,
     NormCdf,
@@ -298,6 +302,24 @@ class TestSymEqual:
     def test_pdf_definitional_identity(self):
         # phi(u) = exp(-u^2/2)/sqrt(2 pi)
         assert sym_equal(NormPdf(Var(1)), parse("exp(-x1^2/2)/sqrt(2*pi)"))
+
+    def test_numeric_comparison_walks_once(self, monkeypatch):
+        # each level holds the one below twice, so the tree is about 2**8
+        # times the DAG; the symbols and the arity are found once, not per
+        # trial and not per tree node
+        dag = Add((Var(3), Sym("mu")))
+        for _ in range(8):
+            dag = Add((dag, NormCdf(dag)))
+        calls: Counter = Counter()
+        for name in ("arity", "free_symbols"):
+            def counted(e, walk=getattr(expr_module, name), name=name):
+                calls[name] += 1
+                return walk(e)
+
+            monkeypatch.setattr(expr_module, name, counted)
+            monkeypatch.setattr(algebra, name, counted, raising=False)
+        assert sym_compare(mul(const(2), dag), add(dag, dag)) == Comparison(True, "numeric")
+        assert calls == {"arity": 1, "free_symbols": 1}
 
 
 # -- MPoly product and exact division ---------------------------------------
@@ -579,7 +601,7 @@ class TestLightReduce:
         assert nf.num == MPoly.constant(Fraction(1, 2)) * (x1 * mu + sigma)
 
 
-# -- gcd bridge ---------------------------------------------------------------
+# -- gcd and multi-term division -------------------------------------------
 
 def _expression_gcd_many(polys: list[MPoly]):
     """The gcd bridge as it was before it moved to sympy's sparse ring: each
@@ -618,15 +640,59 @@ def _expression_gcd_many(polys: list[MPoly]):
     return out
 
 
+def _long_division(p: MPoly, g: MPoly):
+    """``MPoly.divexact`` by a multi-term divisor as it was before it moved to
+    sympy's sparse ring: long division on the leading terms under a graded
+    order (then lex from the largest generator), kernels as plain generators;
+    None at the first leading term that the divisor's does not divide."""
+    def grlex(m):
+        return (sum(e for _, e in m), tuple(reversed(m)))
+
+    gm = max(g.terms, key=grlex)
+    gc = g.terms[gm]
+    q: dict = {}
+    r = MPoly(dict(p.terms))
+    while not r.is_zero:
+        rm = max(r.terms, key=grlex)
+        rc = r.terms[rm]
+        mq = _mono_div(rm, gm)
+        if mq is None:
+            return None
+        cq = _norm(Fraction(rc) / gc)
+        q[mq] = _norm(q.get(mq, 0) + cq)
+        r = r - g.mono_scale(mq, cq)
+    return MPoly(q)
+
+
+def _reference_canonical(form: NormalForm) -> NormalForm:
+    """``NormalForm.canonical`` as it was: the reference gcd of the
+    denominator and every kernel part of the numerator, each part and the
+    denominator divided by it with the reference long division."""
+    parts: dict = {}
+    for m, c in form.num.terms.items():
+        kmono = tuple((g, e) for g, e in m if g[0] == 2)
+        plain = tuple((g, e) for g, e in m if g[0] != 2)
+        parts[kmono] = parts.get(kmono, MPoly()) + MPoly({plain: c})
+    g = _expression_gcd_many([form.den, *parts.values()])
+    if g is None:
+        return NormalForm(form.num, form.den)
+    num = MPoly()
+    for kmono, p in parts.items():
+        num = num + _long_division(p, g).mono_scale(kmono, 1)
+    return NormalForm(num, _long_division(form.den, g))
+
+
 @st.composite
-def _gcd_inputs(draw):
-    """2-4 polynomials over 1-4 generators that share a random factor (which
-    may be a constant, so constant gcds are drawn too)."""
-    gens = draw(st.lists(st.sampled_from(_PLAIN_GENS + _KERNEL_GENS),
-                         min_size=1, max_size=4, unique=True))
-    poly = st.dictionaries(_monomials(gens), _coeffs, min_size=1, max_size=3).map(MPoly)
-    common = draw(poly)
-    return [common * c for c in draw(st.lists(poly, min_size=2, max_size=4))]
+def _fractions_with_common_factor(draw):
+    """(num, den) sharing a random kernel-free factor, which may be a
+    constant; num may carry kernels, den never does."""
+    gens = draw(st.lists(st.sampled_from(_PLAIN_GENS), min_size=1, max_size=3, unique=True))
+    kernels = draw(st.lists(st.sampled_from(_KERNEL_GENS), max_size=2, unique=True))
+    plain = st.dictionaries(_monomials(gens), _coeffs, min_size=1, max_size=3).map(MPoly)
+    mixed = st.dictionaries(_monomials(gens + kernels), _coeffs,
+                            min_size=1, max_size=3).map(MPoly)
+    common = draw(plain)
+    return common * draw(mixed), common * draw(plain)
 
 
 def _rational_multiple(a: MPoly, b: MPoly) -> bool:
@@ -637,24 +703,25 @@ def _rational_multiple(a: MPoly, b: MPoly) -> bool:
 
 
 class TestGcd:
-    @given(_gcd_inputs())
+    @given(_fractions_with_common_factor())
     @settings(max_examples=100, deadline=None)
-    def test_matches_expression_gcd(self, polys):
-        got, want = _sympy_gcd_many(polys), _expression_gcd_many(polys)
-        assert (got is None) == (want is None)
-        if got is not None:
-            _assert_invariant(got)
-            assert _rational_multiple(got, want)
-            assert all(p.divexact(got) is not None for p in polys if not p.is_zero)
+    def test_matches_expression_gcd(self, num_den):
+        form = NormalForm(*num_den)
+        got, want = form.canonical(), _reference_canonical(form)
+        assert got.num == want.num and got.den == want.den
+        _assert_invariant(got.num, got.den)
 
     def test_common_factor_found(self):
         x1, x2, sigma = MPoly.gen((0, 1)), MPoly.gen((0, 2)), MPoly.gen((1, "sigma"))
         f = MPoly.constant(Fraction(1, 2)) * x1 + MPoly.constant(Fraction(3)) * sigma
         g = x1 + x2
-        # the first two share f*g, the third only f
-        got = _sympy_gcd_many([f * g * (x2 + sigma), f * f * g, f * x1])
-        assert _rational_multiple(got, f)
-        assert _sympy_gcd_many([x1 + sigma, x2 + sigma]) is None
+        got = NormalForm(f * g * (x2 + sigma), f * f * g).canonical()
+        assert _rational_multiple(got.num, x2 + sigma)
+        assert _rational_multiple(got.den, f)
+        coprime = NormalForm(x1 + sigma, x2 + sigma)
+        got = coprime.canonical()
+        assert got is not coprime
+        assert got.num == coprime.num and got.den == coprime.den
 
     @pytest.mark.parametrize("num, den, want_num, want_den", [
         ("(x1 - mu)*(x1 + x2)", "(sigma + 1)*(x1 + x2)", "x1 - mu", "sigma + 1"),
@@ -672,3 +739,24 @@ class TestGcd:
         want = nf(want_num) / nf(want_den)
         assert got.num == want.num and got.den == want.den
         assert got.den == nf(want_den).num.scale(1 / nf(want_den).num.leading()[1])
+
+
+class TestMultiTermDivision:
+    @given(_poly_pairs(_PLAIN_GENS + _KERNEL_GENS, q_terms=(2, 4)), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_long_division(self, pq, exact):
+        p, q = pq
+        dividend = p * q if exact else p
+        got, want = dividend.divexact(q), _long_division(dividend, q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            _assert_invariant(got)
+            assert got == want
+
+    def test_non_divisor_gives_none_like_long_division(self):
+        x1, x2, sigma = MPoly.gen((0, 1)), MPoly.gen((0, 2)), MPoly.gen((1, "sigma"))
+        s1 = MPoly.gen(_KERNEL_GENS[0])
+        for p, q in [(x1 * x1 + x2, x1 + x2), (x1 * s1 + sigma, x1 + sigma),
+                     ((x1 + x2) * (x1 + sigma) + MPoly.constant(1), x1 + sigma)]:
+            assert _long_division(p, q) is None
+            assert p.divexact(q) is None

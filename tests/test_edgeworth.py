@@ -224,26 +224,45 @@ class TestRingMemo:
         assert cumulant_coeffs(m) == want
 
 
+def _emit_all(g_text: str, mode: Mode, spec, positive=()) -> bytes:
+    """The emit text of A, a, k12, k22, k31, k41, p1, p2, p11, p21."""
+    reg = KernelRegistry([parse(text) for text in positive])
+    m = build_model(parse(g_text, reg), mode, spec, kernels=reg)
+    k = cumulant_coeffs(m)
+    p1, p2 = edgeworth_polys(k)
+    p11, p21 = cornish_fisher_polys(p1, p2)
+    acc = accel_constant(m)
+    x = Sym("x")
+    return emit_assignments([
+        ("A", acc.A_value), ("a", acc.a_over_sqrtn), ("k12", k.k12), ("k22", k.k22),
+        ("k31", k.k31), ("k41", k.k41), ("p1", p1.to_expr(x)), ("p2", p2.to_expr(x)),
+        ("p11", p11.to_expr(x)), ("p21", p21.to_expr(x)),
+    ]).encode()
+
+
 class TestPinnedOutput:
+    # every emitted item, byte for byte: a change of canonical form shows up here
+
     def test_cv_over_symbolic_moments(self):
-        # every emitted item of cv = sqrt(x2 - x1^2)/x1 over symbolic moments,
-        # byte for byte: a change of canonical form shows up here
-        reg = KernelRegistry([ML_RADICAND])
-        m = build_model(parse("sqrt(x2 - x1^2)/x1", reg), Mode.NONSTUDENTIZED,
-                        symbolic_spec(8), kernels=reg)
-        k = cumulant_coeffs(m)
-        p1, p2 = edgeworth_polys(k)
-        p11, p21 = cornish_fisher_polys(p1, p2)
-        acc = accel_constant(m)
-        x = Sym("x")
-        text = emit_assignments([
-            ("A", acc.A_value), ("a", acc.a_over_sqrtn), ("k12", k.k12), ("k22", k.k22),
-            ("k31", k.k31), ("k41", k.k41), ("p1", p1.to_expr(x)), ("p2", p2.to_expr(x)),
-            ("p11", p11.to_expr(x)), ("p21", p21.to_expr(x)),
-        ]).encode()
+        text = _emit_all("sqrt(x2 - x1^2)/x1", Mode.NONSTUDENTIZED, symbolic_spec(8),
+                         ["x2 - x1^2"])
         assert len(text) == 42149
         assert hashlib.sha256(text).hexdigest() == (
             "4d07e0dab4dfd63771af7b3642647c922c877e5dae07c3eb18d56dbdede9debb")
+
+    def test_studentized_variance_over_symbolic_moments(self):
+        text = _emit_all("x2 - x1^2", Mode.STUDENTIZED, symbolic_spec(16))
+        assert len(text) == 3465
+        assert hashlib.sha256(text).hexdigest() == (
+            "9ab6b214af2c6686357e6a70a49a14f90d95f26ecc64dd8f30fecb5bb7f03043")
+
+    def test_kurtosis_over_gaussian_moments(self):
+        text = _emit_all("(x4 - 4*x1*x3 + 6*x1^2*x2 - 3*x1^4)/(x2 - x1^2)^2",
+                         Mode.NONSTUDENTIZED, gaussian_spec(Sym("mu"), Sym("sigma"), 16),
+                         ["x2 - x1^2"])
+        assert len(text) == 241
+        assert hashlib.sha256(text).hexdigest() == (
+            "5192b8001af2af097500c461f561e5e9626e04beb13915bf2aba219efd1c8657")
 
 
 class TestPolynomials:

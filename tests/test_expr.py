@@ -1,5 +1,6 @@
 import copy
 import gc
+from collections import Counter
 import pickle
 import weakref
 from fractions import Fraction
@@ -423,3 +424,35 @@ class TestArity:
         assert arity(parse("x1")) == 1
         assert arity(parse("x2 - x1^2")) == 2
         assert arity(parse("sigma")) == 0
+
+    def test_shared_subtrees_are_walked_once(self, monkeypatch):
+        # 35 distinct nodes; as a tree it has about 2**16 leaves.  A walk
+        # that recursed through the module's own names, or visited a shared
+        # node twice, would count more here.
+        dag = _shared_dag(16)
+        calls: Counter = Counter()
+        for name in ("arity", "free_symbols"):
+            def counted(e, walk=getattr(expr_module, name), name=name):
+                calls[name] += 1
+                return walk(e)
+
+            monkeypatch.setattr(expr_module, name, counted)
+        assert expr_module.arity(dag) == 3
+        assert expr_module.free_symbols(dag) == {"mu"}
+        assert calls == {"arity": 1, "free_symbols": 1}
+
+        visits: Counter = Counter()
+        children = expr_module._children
+        monkeypatch.setattr(expr_module, "_children",
+                            lambda e: visits.update([id(e)]) or children(e))
+        expr_module.arity(dag)
+        assert len(visits) == 35 and set(visits.values()) == {1}
+
+
+def _shared_dag(depth: int) -> Expr:
+    """``2 * depth + 3`` distinct nodes: each level holds the one below twice,
+    once directly and once under ``Phi``."""
+    e = Add((Var(3), Sym("mu")))
+    for _ in range(depth):
+        e = Add((e, NormCdf(e)))
+    return e
