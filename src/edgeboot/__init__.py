@@ -22,7 +22,6 @@ from .algebra import (
 )
 from .moments import (
     MomentSpec,
-    MomentTable,
     cross_moment,
     empirical_spec,
     exponential_spec,

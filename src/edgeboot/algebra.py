@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -807,6 +808,16 @@ def _rationalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
 
 # -- sympy's sparse ring: gcd and multi-term division ------------------------
 
+@lru_cache(maxsize=None)
+def _sparse_ring(n: int):
+    """sympy's sparse polynomial ring over QQ in ``n`` generators, built once
+    per count: every caller maps its own generators onto g0..g{n-1}."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    return ring(",".join(f"g{i}" for i in range(n)), QQ)[0]
+
+
 def _in_ring(polys: list[MPoly]):
     """``polys`` as elements of one sympy sparse ring over QQ, and the map
     back to MPoly.
@@ -815,10 +826,9 @@ def _in_ring(polys: list[MPoly]):
     included, so there is no expression layer; ``polys`` must have at least
     one generator between them."""
     from sympy import QQ
-    from sympy.polys.rings import ring
 
     gens = sorted({g for p in polys for g in p.gens()})
-    R = ring(",".join(f"g{i}" for i in range(len(gens))), QQ)[0]
+    R = _sparse_ring(len(gens))
     index = {g: i for i, g in enumerate(gens)}
     zeros = [0] * len(gens)
 

@@ -109,7 +109,7 @@ def _print_report(report: dict, fmt: str) -> None:
 
 def _statistic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stat", required=True, help="config file or preset name")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", default=None,
                    help="acceptance limit parameter")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="statistic parameter override")
@@ -130,7 +130,7 @@ def _stat_args(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
 def _param_override(args) -> dict[str, float] | None:
     params: dict[str, float] = {}
     if args.lam is not None:
-        params["lambda"] = args.lam
+        params["lambda"] = parse_number(args.lam, "--lambda")
     for spec_text in args.param:
         name, _, value = spec_text.partition("=")
         if not value:

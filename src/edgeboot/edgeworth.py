@@ -13,11 +13,13 @@ covariance of the estimated influence components.  At the moment point this
 equals the asymptotic variance, so the normalized statistic always has unit
 first-order variance.
 
-Coefficient evaluation runs in one of three value rings chosen by the
-moment spec and the statistic: double precision for numeric specs, exact
-normal forms for polynomial statistics over symbolic specs, and plain
-expression arithmetic when transcendental primitives (Phi, phi, exp) make
-normal forms unavailable (equality checks there are numeric-only).
+Coefficient evaluation runs in one of three value rings, which one rule
+(``_ring_of``) picks from the values themselves: double precision for
+numeric specs, exact normal forms for polynomial statistics over symbolic
+specs, and plain expression arithmetic when transcendental primitives (Phi,
+phi, exp) make normal forms unavailable (equality checks there are
+numeric-only).  The Edgeworth and Cornish-Fisher polynomials are closed
+forms in the coefficients, computed in the same rings.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ from .expr import (
     ZERO,
     add as expr_add,
     arity,
-    const,
     mul,
     pow_,
     sqrt,
     sub,
 )
-from .moments import MomentSpec, MomentTable, MomentOrderError, raw_moment
+from . import moments
+from .moments import MomentSpec, MomentOrderError, raw_moment
 
 Value = Union[Expr, float]
 
@@ -143,14 +145,6 @@ def model_shape(g: Expr, mode: Mode, d: int | None = None) -> tuple[int, int, in
     return d, dims, max(2 * d, 4 * dims)
 
 
-def _canonical_expr(e: Expr) -> Expr:
-    """``e``'s canonical normal form, or ``e`` itself when it is transcendental."""
-    try:
-        return _to_nf(e).canonical().to_expr()
-    except TranscendentalResidueError:
-        return e
-
-
 def as_expr(v: Value) -> Expr:
     """An Expr as is; a float as the exact rational of its double."""
     return v if isinstance(v, Expr) else Const(Fraction(float(v)))
@@ -203,8 +197,14 @@ def build_model(
         g_at_mu = as_expr(g_at_mu)
         normalizer = as_expr(1.0 / sigma_a) if plain else None
     else:
-        # a transcendental variance stays as is: its positivity is checked numerically
-        g_at_mu, h2_at_mu = _canonical_expr(g_at_mu), _canonical_expr(h2_at_mu)
+        # one ring per value, so an algebraic variance is canonical even when
+        # g(mu) is transcendental; a transcendental variance stays as is, and
+        # its positivity is checked numerically
+        def canonical(e: Expr) -> Expr:
+            ring, (v,) = _ring_of((e,), kernels)
+            return ring.finish(v)
+
+        g_at_mu, h2_at_mu = canonical(g_at_mu), canonical(h2_at_mu)
         if h2_at_mu == ZERO:
             raise ModelError("zero asymptotic variance at the moment point")
         kernels.register(h2_at_mu)
@@ -293,21 +293,31 @@ class _Ring:
         return pow_(v, Fraction(3, 2), self.kernels)
 
 
-def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
-    """Choose the value ring and convert the derivative table into it."""
-    ring = _Ring("float" if model.is_numeric else "nf")
-    memo: dict[int, NormalForm] = {}  # the derivatives it keys live on the model
+def _ring_of(values, kernels: KernelRegistry | None = None) -> tuple[_Ring, list]:
+    """The one value-ring rule, and ``values`` converted into the ring it
+    picks: floats when no value is an Expr, else exact normal forms, else
+    (a value is transcendental) plain expressions carrying ``kernels``."""
+    values = list(values)
+    ring = _Ring("nf" if any(isinstance(v, Expr) for v in values) else "float")
+    memo: dict[int, NormalForm] = {}  # by node id: ``values`` keeps the nodes alive
     try:
-        return ring, {t: ring.convert(v, memo) for t, v in model.deriv.items()}
+        return ring, [ring.convert(v, memo) for v in values]
     except TranscendentalResidueError:
-        return _Ring("expr", model.kernels), dict(model.deriv)
+        return _Ring("expr", kernels), values
+
+
+def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
+    """The value ring of the derivative table and the table converted into
+    it (a function of its own: ``bench/tracing.py`` records its ring)."""
+    ring, values = _ring_of(model.deriv.values(), model.kernels)
+    return ring, dict(zip(model.deriv, values))
 
 
 class _MomentView:
-    """Ring-converted, memoized access to cross moments."""
+    """Ring-converted, memoized access to the cross moments of ``spec``."""
 
-    def __init__(self, table: MomentTable, ring: _Ring):
-        self.table = table
+    def __init__(self, spec: MomentSpec, ring: _Ring):
+        self.spec = spec
         self.ring = ring
         self._cache: dict[tuple[int, ...], object] = {}
         self._memo: dict[int, NormalForm] = {}
@@ -319,7 +329,8 @@ class _MomentView:
         key = tuple(sorted(indices))
         got = self._cache.get(key)
         if got is None:
-            moment = self.table.get(key)
+            # through the module: bench/tracing.py times moments.cross_moment
+            moment = moments.cross_moment(self.spec, key)
             self._moments.append(moment)
             got = self._cache[key] = self.ring.convert(moment, self._memo)
         return got
@@ -334,7 +345,7 @@ def _first_order(model: StatModel):
     if model.first_order is not None:
         return model.first_order
     ring, a = _model_ring(model)
-    M = _MomentView(MomentTable(model.spec, model.dims), ring)
+    M = _MomentView(model.spec, ring)
     D = model.dims
     nonzero1 = [i for i in range(1, D + 1) if not ring.is_zero(a[(i,)])]
     S2 = ring.sum(
@@ -482,56 +493,9 @@ class Poly:
 
     coeffs: tuple[Value, ...]  # coeffs[k] multiplies x^k
 
-    @staticmethod
-    def from_dict(d: Mapping[int, Value]) -> "Poly":
-        deg = max(d, default=0)
-        zero: Value = 0.0 if all(isinstance(v, float) for v in d.values()) else ZERO
-        return Poly(tuple(d.get(k, zero) for k in range(deg + 1)))
-
-    def coeff(self, k: int) -> Value:
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0.0 if self._numeric else ZERO
-
-    @property
-    def _numeric(self) -> bool:
-        return all(isinstance(c, float) for c in self.coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        out: list[Value] = [None] * n  # type: ignore[list-item]
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                term = ci * cj
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-        zero: Value = 0.0 if self._numeric and other._numeric else ZERO
-        return Poly(tuple(zero if c is None else c for c in out))
-
-    def scale(self, c: Value) -> "Poly":
-        return Poly(tuple(coeff * c for coeff in self.coeffs))
-
-    def dx(self) -> "Poly":
-        if len(self.coeffs) <= 1:
-            return Poly((0.0 if self._numeric else ZERO,))
-        return Poly(tuple(Fraction(k) * self.coeffs[k] for k in range(1, len(self.coeffs))))
-
-    def times_x(self) -> "Poly":
-        zero: Value = 0.0 if self._numeric else ZERO
-        return Poly((zero, *self.coeffs))
 
     def eval(self, x: float, bindings: Bindings | None = None) -> float:
         acc = 0.0
@@ -552,45 +516,45 @@ class Poly:
             terms.append(mul(ce, pow_(x, Fraction(k))))
         return expr_add(*terms) if terms else ZERO
 
-    def simplified(self) -> "Poly":
-        """Canonicalize symbolic coefficients through normal forms."""
-        return Poly(tuple(_canonical_expr(c) if isinstance(c, Expr) else c
-                          for c in self.coeffs))
+
+def _finished(ring: _Ring, coeffs) -> Poly:
+    return Poly(tuple(ring.finish(c) for c in coeffs))
 
 
 def edgeworth_polys(k: CumulantCoeffs) -> tuple[Poly, Poly]:
     """p1(x) = -(k12 + k31 (x^2-1)/6);
     p2(x) = -x ((k22+k12^2)/2 + (k41+4 k12 k31)(x^2-3)/24
             + k31^2 (x^4-10x^2+15)/72)."""
-    k12, k22, k31, k41 = k.k12, k.k22, k.k31, k.k41
+    ring, (k12, k22, k31, k41) = _ring_of((k.k12, k.k22, k.k31, k.k41))
     c_a = Fraction(1, 2) * (k22 + k12 * k12)
     c_b = Fraction(1, 24) * (k41 + Fraction(4) * (k12 * k31))
     c_c = Fraction(1, 72) * (k31 * k31)
-    p1 = Poly.from_dict({
-        0: -(k12 - Fraction(1, 6) * k31),
-        2: -(Fraction(1, 6) * k31),
-    })
-    p2 = Poly.from_dict({
-        1: -(c_a - Fraction(3) * c_b + Fraction(15) * c_c),
-        3: -(c_b - Fraction(10) * c_c),
-        5: -c_c,
-    })
-    return p1.simplified(), p2.simplified()
+    zero = ring.zero()
+    p1 = (-(k12 - Fraction(1, 6) * k31), zero, -(Fraction(1, 6) * k31))
+    p2 = (zero, -(c_a - Fraction(3) * c_b + Fraction(15) * c_c), zero,
+          -(c_b - Fraction(10) * c_c), zero, -c_c)
+    return _finished(ring, p1), _finished(ring, p2)
 
 
 def cornish_fisher_polys(p1: Poly, p2: Poly) -> tuple[Poly, Poly]:
-    """p11 = -p1;  p21 = p1 p1' - x p1^2 / 2 - p2 (exact polynomial arithmetic)."""
-    p11 = -p1
-    p21 = (p1 * p1.dx()) - (p1 * p1).times_x().scale(Fraction(1, 2)) - p2
-    return p11.simplified(), p21.simplified()
+    """p11 = -p1;  p21 = p1 p1' - x p1^2 / 2 - p2 (Hall 1992, sec. 2.5), for
+    p1 = a0 + a2 x^2 and p2 = b1 x + b3 x^3 + b5 x^5 as :func:`edgeworth_polys`
+    gives them.  p21's x^5 coefficient -a2^2/2 - b5 is identically zero
+    (b5 = -k31^2/72 = -a2^2/2), so p21 is odd with degree 3."""
+    ring, (a0, a2, b1, b3) = _ring_of(
+        (p1.coeffs[0], p1.coeffs[2], p2.coeffs[1], p2.coeffs[3]))
+    zero = ring.zero()
+    p11 = (-a0, zero, -a2)
+    p21 = (zero, a0 * (Fraction(2) * a2) - Fraction(1, 2) * (a0 * a0) - b1,
+           zero, a2 * (Fraction(2) * a2) - a0 * a2 - b3)
+    return _finished(ring, p11), _finished(ring, p21)
 
 
 def scale_adjust(p1: Poly, p2: Poly, gamma: Fraction) -> tuple[Poly, Poly]:
     """Expansion of the statistic rescaled by (1 - gamma/n): p2 gains gamma*x."""
-    gamma = Fraction(gamma)
-    numeric = p1._numeric and p2._numeric
-    bump = Poly.from_dict({1: float(gamma) if numeric else const(gamma)})
-    return p1, (p2 + bump).simplified()
+    ring, coeffs = _ring_of(p2.coeffs)
+    coeffs[1] = coeffs[1] + Fraction(gamma)
+    return p1, _finished(ring, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -218,19 +218,6 @@ def cross_moment(spec: MomentSpec, indices: tuple[int, ...]) -> Value:
     return acc
 
 
-class MomentTable:
-    """Memoized view of the cross moments needed by the coefficient sums."""
-
-    def __init__(self, spec: MomentSpec, dims: int):
-        self.spec = spec
-        self.dims = dims
-
-    def get(self, indices: tuple[int, ...]) -> Value:
-        if any(i > self.dims for i in indices):
-            raise MomentError(f"index beyond model dimension {self.dims}")
-        return cross_moment(self.spec, tuple(sorted(indices)))
-
-
 # ---------------------------------------------------------------------------
 # Config loading
 # ---------------------------------------------------------------------------

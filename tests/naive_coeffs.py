@@ -8,7 +8,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from edgeboot.edgeworth import CumulantCoeffs, StatModel, _model_ring, _MomentView
-from edgeboot.moments import MomentTable
 
 
 def cumulant_coeffs_naive(model: StatModel) -> CumulantCoeffs:
@@ -18,7 +17,7 @@ def cumulant_coeffs_naive(model: StatModel) -> CumulantCoeffs:
     intended for numeric specs (full six-deep loops).
     """
     ring, a = _model_ring(model)
-    M = _MomentView(MomentTable(model.spec, model.dims), ring)
+    M = _MomentView(model.spec, ring)
     D = model.dims
     rng1 = range(1, D + 1)
 

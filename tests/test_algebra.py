@@ -760,3 +760,28 @@ class TestMultiTermDivision:
                      ((x1 + x2) * (x1 + sigma) + MPoly.constant(1), x1 + sigma)]:
             assert _long_division(p, q) is None
             assert p.divexact(q) is None
+
+
+class TestSparseRing:
+    def test_one_ring_per_generator_count(self, monkeypatch):
+        import sympy.polys.rings as rings
+
+        built = Counter()
+        real = rings.ring
+
+        def counting(symbols, *args, **kwargs):
+            built[symbols] += 1
+            return real(symbols, *args, **kwargs)
+
+        monkeypatch.setattr(rings, "ring", counting)
+        algebra._sparse_ring.cache_clear()
+        x1, x2, sigma = MPoly.gen((0, 1)), MPoly.gen((0, 2)), MPoly.gen((1, "sigma"))
+        f, g = x1 * x1 - sigma * sigma, (x1 - sigma) * (x2 + x1)
+        (a, _), back_a = algebra._in_ring([f, g])
+        (b, _), _ = algebra._in_ring([x2 * x2 - sigma, x1 + x2 + sigma])
+        assert a.ring is b.ring
+        assert built == {"g0,g1,g2": 1}
+        # the shared ring changes nothing: a cancelled form as before
+        got = NormalForm(f, g).canonical()
+        assert got.num == x1 + sigma and got.den == x2 + x1
+        assert back_a(a) == f

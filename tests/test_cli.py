@@ -78,6 +78,17 @@ class TestAccel:
         value = float(out.split("a_over_sqrtn = ")[1].splitlines()[0])
         assert abs(value - (-math.sqrt(2.0) / 3.0)) < 1e-10
 
+    def test_lambda_reads_a_rational(self, capsys):
+        got = run(capsys, "accel", "--stat", "ml_symmetric", "--lambda", "13/10")
+        want = run(capsys, "accel", "--stat", "ml_symmetric", "--lambda", "1.3")
+        param = run(capsys, "accel", "--stat", "ml_symmetric", "--param", "lambda=13/10")
+        default = run(capsys, "accel", "--stat", "ml_symmetric")
+        assert got == want == param and got[0] == 0 and got != default
+
+    def test_bad_lambda_names_its_flag(self, capsys):
+        code, out, err = run(capsys, "accel", "--stat", "ml_symmetric", "--lambda", "1/x")
+        assert (code, out, err) == (1, "", "error: --lambda: '1/x' is not a number\n")
+
     def test_mean_symbolic(self, capsys):
         code, out, _ = run(capsys, "accel", "--stat", "mean", "--mode", "studentized",
                            "--moments", "symbolic")
@@ -324,6 +335,53 @@ class TestPinnedOutput:
         assert len(text) == 296
         assert hashlib.sha256(text).hexdigest() == (
             "54db1629be1a1a6ccd456b4e564f3b476eae7601c5687eb4b09982580fa48b33")
+
+
+    # every preset and mode over numeric moments, as `expand` prints them
+    # (recorded with p21 of degree 3: its x^5 coefficient is identically zero)
+    @pytest.mark.parametrize("preset, mode, moments, size, digest", [
+        ("mean", "plain", "gaussian", 97, "e64cbfc9c2daf5663600ddc4d6f81fc292d26486e28bfeca69420c3f5dda4a92"),
+        ("mean", "plain", "mu13_sigma07", 402, "75e1c10b7cc4b8c038d279f2332a4e413d5c172ae98c8c28757cae7d4d1d66ae"),
+        ("mean", "plain", "exponential", 316, "c077fd2dd037d6ea146a7ced0b0add4c36ce45266a3d0920b574b0d36ca21e68"),
+        ("mean", "studentized", "gaussian", 131, "e2d56246b3ca141eb9b1775d0388d175fa9ce042bdb39e4b29cd480a7988c719"),
+        ("mean", "studentized", "mu13_sigma07", 413, "c97ddf8e03337d230ce36891e8168163e373a6776a6e70102ba979346d7db7ce"),
+        ("mean", "studentized", "exponential", 316, "b89cf08fafaeca8db36cc01336f3b65370282f8c40228be9d60ba083766e1ff7"),
+        ("variance", "plain", "gaussian", 391, "ea0286d9e2ffd195f0899e5b4aa783d6f5c87e591e9794aa7f7ffe32162633fb"),
+        ("variance", "plain", "mu13_sigma07", 387, "8f8fa6ca3ce00186e5df372396468df86e3191c1ef31854a7aafedfe0d5174ef"),
+        ("variance", "plain", "exponential", 383, "39a9f76c3a77dea33bf985ba68072583ab77c8dce1d58575462b633fe91fdc9a"),
+        ("variance", "studentized", "gaussian", 384, "41a8a0b7d379a3ecaf0fba96f1e1dff9d32640f220b7d30ddc357b2e2e1d8bb4"),
+        ("variance", "studentized", "mu13_sigma07", 382, "2a9af71d47175dc78695ea9ba5e60bd7b26a462c264777d3bfdf0f517d02184a"),
+        ("variance", "studentized", "exponential", 380, "68d7b7dda96fd3db5c59ff0d575292e9b1a5816d9d368da8ed72e9c0472ed22a"),
+        ("ml_symmetric", "plain", "gaussian", 403, "0b9deebbe3e6c422a96be10b419e4f55bdd5cc144ce0c7a87aeb2bf5c4e9a49b"),
+        ("ml_symmetric", "plain", "mu13_sigma07", 402, "8d30b7dde59e8c52b0d4ee12421c238b00d435208cd45d70eab2ab7ca432f756"),
+        ("ml_symmetric", "plain", "exponential", 390, "fcd565e0bc169bd02ea2d17312c2137de0049a7e16b8a14c6388f66256341277"),
+        ("ml_symmetric", "studentized", "gaussian", 393, "c268867f705fb67ac7391ba2dd8feab63696b57b6b5c75033370cc58dea4ad08"),
+        ("ml_symmetric", "studentized", "mu13_sigma07", 391, "b3ea253d3cc80d9566c5fad2e46d8ba9055950492afd2a7ef5ff5e71a1f64202"),
+        ("ml_symmetric", "studentized", "exponential", 394, "6691708a2b51724087cd8527c54dba79daa099102468d2823dbc130be156928b"),
+        ("ml_general", "plain", "gaussian", 403, "0b9deebbe3e6c422a96be10b419e4f55bdd5cc144ce0c7a87aeb2bf5c4e9a49b"),
+        ("ml_general", "plain", "mu13_sigma07", 402, "8d30b7dde59e8c52b0d4ee12421c238b00d435208cd45d70eab2ab7ca432f756"),
+        ("ml_general", "plain", "exponential", 390, "fcd565e0bc169bd02ea2d17312c2137de0049a7e16b8a14c6388f66256341277"),
+        ("ml_general", "studentized", "gaussian", 393, "c268867f705fb67ac7391ba2dd8feab63696b57b6b5c75033370cc58dea4ad08"),
+        ("ml_general", "studentized", "mu13_sigma07", 391, "b3ea253d3cc80d9566c5fad2e46d8ba9055950492afd2a7ef5ff5e71a1f64202"),
+        ("ml_general", "studentized", "exponential", 394, "6691708a2b51724087cd8527c54dba79daa099102468d2823dbc130be156928b"),
+    ])
+    def test_expand(self, capsys, preset, mode, moments, size, digest):
+        moment_args = {"gaussian": ["--moments", "gaussian"],
+                       "mu13_sigma07": ["--moments", "gaussian", "--mu", "13/10", "--sigma", "7/10"],
+                       "exponential": ["--moments", "exponential"]}[moments]
+        code, out, err = run(capsys, "expand", "--stat", preset, "--mode", mode, *moment_args)
+        assert (code, err) == (0, "")
+        text = out.encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
+    def test_p21_has_no_x5_term(self, capsys):
+        # its x^5 coefficient -a2^2/2 - b5 is zero; in floats it printed as
+        # rounding noise (2.220446049250313e-16*x^5)
+        code, out, _ = run(capsys, "expand", "--stat", "variance", "--mode", "studentized",
+                           "--moments", "exponential")
+        assert code == 0
+        p21 = next(l for l in out.splitlines() if l.startswith("p21 ="))
+        assert p21 == "p21 = 12.187499999999975*x^3 + 46.78125000000006*x"
 
 
 class TestExport:

@@ -1,25 +1,27 @@
 import gc
 import hashlib
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from scipy.special import ndtri
 
-from edgeboot.algebra import Bindings, normalize
+from edgeboot.algebra import Bindings, eval_numeric, normalize
 from edgeboot.expr import (
     Expr,
     KernelRegistry,
     Sym,
     Var,
     ONE,
+    ZERO,
     const,
     parse,
     pow_,
     sub,
 )
-from edgeboot.config import PRESETS, load_config, statistic_from_config
+from edgeboot.config import PRESETS, load_config, model_from_config, statistic_from_config
 from edgeboot.moments import (
     MomentOrderError,
     cross_moment,
@@ -46,6 +48,7 @@ from edgeboot.edgeworth import (
 from edgeboot import edgeworth, moments
 from edgeboot.codegen import emit_assignments
 
+import reference_polys
 from naive_coeffs import cumulant_coeffs_naive
 from two_branch_model import build_model_two_branch
 
@@ -75,6 +78,13 @@ class TestBuildModel:
         assert normalize(m.sigma_a) == normalize(Sym("sigma"))
         assert normalize(m.deriv[(1,)]) == normalize(parse("1/sigma"))
         assert normalize(m.a_expr - parse("(x1 - mu)/sigma")).is_zero
+
+    def test_algebraic_variance_canonical_beside_transcendental_g(self):
+        # g(mu) = mu + exp(1) stays an expression; h2(mu) = sigma^2 still
+        # takes its normal form, so h = sigma and the derivative is 1/sigma
+        m = build_model(parse("x1 + exp(1)"), Mode.NONSTUDENTIZED, symbolic_spec(8))
+        assert m.sigma_a == Sym("sigma")
+        assert m.deriv[(1,)] == parse("1/sigma")
 
     def test_variance_h2(self):
         m = build_model(parse("x2 - x1^2"), Mode.STUDENTIZED, symbolic_spec(16))
@@ -222,6 +232,19 @@ class TestRingMemo:
             cache.cache_clear()
         gc.collect()
         assert cumulant_coeffs(m) == want
+
+    def test_moments_read_through_the_moments_module(self, monkeypatch):
+        # bench/tracing.py times the cross moments by replacing moments.cross_moment
+        seen = []
+        real = moments.cross_moment
+
+        def counting(spec, indices):
+            seen.append(indices)
+            return real(spec, indices)
+
+        monkeypatch.setattr(moments, "cross_moment", counting)
+        cumulant_coeffs(build_model(parse("x2 - x1^2"), Mode.NONSTUDENTIZED, symbolic_spec(8)))
+        assert (1, 1) in seen and (2, 2, 2, 2) in seen
 
 
 def _emit_all(g_text: str, mode: Mode, spec, positive=()) -> bytes:
@@ -572,3 +595,96 @@ class TestOneModelPath:
             build_model(parse("x1^2"), Mode.NONSTUDENTIZED, spec)
         with pytest.raises(ModelError, match="zero or invalid asymptotic variance 0.0"):
             build_model(parse("x1^2"), Mode.NONSTUDENTIZED, gaussian_spec(0.0, 1.0, 8))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form polynomials equal the Poly arithmetic they replaced
+# ---------------------------------------------------------------------------
+
+def _preset_polys(preset: str, mode: Mode, moments: str):
+    """The ring kind, the model, the closed-form (p1, p2, p11, p21) and the
+    same four from the reference arithmetic."""
+    model = model_from_config(load_config(preset), mode=mode,
+                              moments_override={"distribution": moments})
+    k = cumulant_coeffs(model)
+    p1, p2 = edgeworth_polys(k)
+    r1, r2 = reference_polys.edgeworth_polys(k)
+    kind = edgeworth._ring_of((k.k12, k.k22, k.k31, k.k41))[0].kind
+    return (kind, model, (p1, p2, *cornish_fisher_polys(p1, p2)),
+            (r1, r2, *reference_polys.cornish_fisher_polys(r1, r2)))
+
+
+def _is_zero(c) -> bool:
+    """A zero coefficient; the float reference's zeros may carry a minus sign
+    (-(0.0) from its negation), which neither printing nor ``to_expr`` keeps."""
+    return c == ZERO if isinstance(c, Expr) else c == 0.0
+
+
+def _moment_bindings(rng: random.Random, K: int, params: dict[str, float]) -> Bindings:
+    """Standardized moments mu3..muK of a random six-point distribution (a
+    valid moment sequence, so every variance at the moment point is
+    positive), a random mu and sigma, and ``params``."""
+    points = [rng.uniform(-2.0, 3.0) for _ in range(6)]
+    weights = [rng.uniform(0.2, 1.0) for _ in range(6)]
+    total = sum(weights)
+    mean = sum(w * p for w, p in zip(weights, points)) / total
+    sd = math.sqrt(sum(w * (p - mean) ** 2 for w, p in zip(weights, points)) / total)
+    z = [(p - mean) / sd for p in points]
+    m = {k: sum(w * v ** k for w, v in zip(weights, z)) / total for k in range(3, K + 1)}
+    syms = {"mu": rng.uniform(-1.0, 1.0), "sigma": rng.uniform(0.5, 2.0),
+            "Gamma1": m[3], "kappa1": m[4] - 3.0, **params}
+    syms.update({f"mu{k}": m[k] for k in range(5, K + 1)})
+    return Bindings(syms)
+
+
+class TestClosedFormPolys:
+    @pytest.mark.parametrize("moments", ["symbolic", "gaussian", "exponential"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_reference_arithmetic(self, preset, mode, moments):
+        kind, _, got, want = _preset_polys(preset, mode, moments)
+        assert kind == ("expr" if moments == "symbolic" and preset.startswith("ml_")
+                        else "nf" if moments == "symbolic" else "float")
+        for new, ref in zip(got[:3], want[:3]):  # p1, p2, p11
+            assert len(new.coeffs) == len(ref.coeffs)
+            for c, r in zip(new.coeffs, ref.coeffs):
+                assert _same(c, r) or (_is_zero(c) and _is_zero(r)), (c, r)
+        p21, ref21 = got[3], want[3]
+        assert p21.degree == 3 and ref21.degree == 5
+        if kind == "expr":  # new text: compared numerically below
+            return
+        for c, r in zip(p21.coeffs, ref21.coeffs):
+            assert _same(c, r) or (_is_zero(c) and _is_zero(r)), (c, r)
+        assert _is_zero(ref21.coeffs[4])
+        if kind == "nf":
+            assert ref21.coeffs[5] == ZERO
+        else:  # rounding noise of -a2^2/2 - b5
+            assert abs(ref21.coeffs[5]) <= 1e-14 * max(1.0, got[0].coeffs[2] ** 2)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("preset", ["ml_symmetric", "ml_general"])
+    def test_expr_ring_p21_agrees_numerically(self, preset, mode):
+        kind, model, got, want = _preset_polys(preset, mode, "symbolic")
+        assert kind == "expr"
+        p1, p21, ref21 = got[0], got[3], want[3]
+        params = {"lambda": 1.3} if preset == "ml_symmetric" else {"L": -0.7, "U": 1.6}
+        rng = random.Random(15)
+        for _ in range(20):
+            b = _moment_bindings(rng, model.spec.K,
+                                 {k: v * rng.uniform(0.8, 1.25) for k, v in params.items()})
+            a2 = eval_numeric(p1.coeffs[2], b)
+            for k in (1, 3):
+                new, ref = eval_numeric(p21.coeffs[k], b), eval_numeric(ref21.coeffs[k], b)
+                assert math.isclose(new, ref, rel_tol=1e-12, abs_tol=1e-13), (k, new, ref)
+            assert _is_zero(p21.coeffs[0]) and _is_zero(p21.coeffs[2])
+            assert abs(eval_numeric(ref21.coeffs[5], b)) <= 1e-13 * max(1.0, a2 * a2)
+
+    @pytest.mark.parametrize("moments", ["symbolic", "gaussian"])
+    @pytest.mark.parametrize("preset", ["mean", "variance", "ml_symmetric"])
+    def test_scale_adjust_matches_reference(self, preset, moments):
+        _, _, got, want = _preset_polys(preset, Mode.STUDENTIZED, moments)
+        new = scale_adjust(got[0], got[1], Fraction(3, 4))
+        ref = reference_polys.scale_adjust(want[0], want[1], Fraction(3, 4))
+        assert new[0] is got[0]
+        for c, r in zip(new[1].coeffs, ref[1].coeffs):
+            assert _same(c, r) or (_is_zero(c) and _is_zero(r)), (c, r)
