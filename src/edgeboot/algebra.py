@@ -1,9 +1,12 @@
 """Symbolic calculus and canonical forms on the expression language.
 
 Provides exact differentiation (with built-in rules for ``exp``, ``Phi``,
-``phi``), simultaneous substitution, double-precision evaluation (scalar or
-numpy-array bindings), and a canonical :class:`NormalForm` for the
-rational-with-square-root-kernels subclass.
+``phi``), a canonical :class:`NormalForm` for the
+rational-with-square-root-kernels subclass, and one memoised evaluator,
+:func:`evaluate`, over three value rings (:class:`Ring`): simultaneous
+substitution is evaluation in the ``expr`` ring, double precision (scalar or
+numpy-array bindings) in the ``float`` ring and normal forms in the ``nf``
+ring.
 
 A normal form is a fraction of two multivariate polynomials with exact
 rational coefficients.  Square roots are adjoined as kernel generators
@@ -22,9 +25,10 @@ deterministic pseudo-random bindings and is reported as numeric.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -128,51 +132,14 @@ def _differentiate_node(e: Expr, index: int, kernels, memo) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Substitution and numeric evaluation (both through :func:`evaluate`)
 # ---------------------------------------------------------------------------
 
 def substitute(e: Expr, mapping: Mapping[Expr, Expr],
                kernels: KernelRegistry | None = None) -> Expr:
     """Simultaneous substitution of Sym/Var nodes; rebuilds canonically."""
-    if not mapping:
-        return e
-    memo: dict[int, Expr] = {}
+    return evaluate(e, Ring("expr", mapping, kernels), {}) if mapping else e
 
-    def walk(node: Expr) -> Expr:
-        key = id(node)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, (Sym, Var)):
-            out = mapping.get(node, node)
-        elif isinstance(node, Add):
-            out = add(*[walk(t) for t in node.terms])
-        elif isinstance(node, Mul):
-            out = mul(*[walk(f) for f in node.factors])
-        elif isinstance(node, Pow):
-            new_base = walk(node.base)
-            if node.exponent.denominator == 2 and kernels is not None:
-                # the original base passed the positivity gate; substitution
-                # is mechanical, so its image stays a valid kernel
-                kernels.register(new_base)
-            out = pow_(new_base, node.exponent, kernels)
-        elif isinstance(node, Exp):
-            out = Exp(walk(node.arg))
-        elif isinstance(node, NormCdf):
-            out = NormCdf(walk(node.arg))
-        elif isinstance(node, NormPdf):
-            out = NormPdf(walk(node.arg))
-        else:
-            out = node
-        memo[key] = out
-        return out
-
-    return walk(e)
-
-
-# ---------------------------------------------------------------------------
-# Numeric evaluation
-# ---------------------------------------------------------------------------
 
 Number = Union[float, "np.ndarray"]
 
@@ -228,76 +195,8 @@ def norm_ppf(p: float) -> float:
 def eval_numeric(e: Expr, b: Bindings) -> Number:
     """Evaluate to double precision.  Raises :class:`EvalError` for unbound
     symbols; :class:`DomainError` for scalar domain violations.  Equal
-    subtrees are one interned node and are evaluated once per call
-    (memoised by structure)."""
-    return _eval(e, b, {})
-
-
-def _eval(e: Expr, b: Bindings, memo: dict[int, Number]) -> Number:
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    out = _eval_node(e, b, memo)
-    memo[id(e)] = out
-    return out
-
-
-def _eval_node(e: Expr, b: Bindings, memo: dict[int, Number]) -> Number:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return b.syms[e.name]
-        except KeyError:
-            if e.name == "pi":
-                return math.pi
-            raise EvalError(f"unbound symbol {e.name!r}") from None
-    if isinstance(e, Var):
-        try:
-            return b.vars[e.index]
-        except KeyError:
-            raise EvalError(f"unbound variable x{e.index}") from None
-    if isinstance(e, Add):
-        total = _eval(e.terms[0], b, memo)
-        for t in e.terms[1:]:
-            total = total + _eval(t, b, memo)
-        return total
-    if isinstance(e, Mul):
-        prod = _eval(e.factors[0], b, memo)
-        for f in e.factors[1:]:
-            prod = prod * _eval(f, b, memo)
-        return prod
-    if isinstance(e, Pow):
-        base = _eval(e.base, b, memo)
-        q = e.exponent
-        if _is_array(base):
-            import numpy as np
-
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.power(base, float(q))
-        if q.denominator == 2 and base < 0:
-            raise DomainError(f"negative base {base} under fractional power {q}")
-        if base == 0 and q < 0:
-            raise DomainError("division by zero")
-        try:
-            return float(base) ** float(q) if q.denominator == 2 else float(base) ** q.numerator
-        except OverflowError:
-            raise DomainError(f"{base} ^ ({q}) overflows a double") from None
-    if isinstance(e, Exp):
-        u = _eval(e.arg, b, memo)
-        if _is_array(u):
-            import numpy as np
-
-            return np.exp(u)
-        try:
-            return math.exp(u)
-        except OverflowError:
-            raise DomainError(f"exp({u}) overflows a double") from None
-    if isinstance(e, NormCdf):
-        return norm_cdf(_eval(e.arg, b, memo))
-    if isinstance(e, NormPdf):
-        return norm_pdf(_eval(e.arg, b, memo))
-    raise AlgebraError(f"unsupported primitive for evaluation: {e!r}")
+    subtrees are one interned node and are evaluated once per call."""
+    return evaluate(e, Ring("float", b), {})
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +461,21 @@ def _gen_is_positive(g: Gen) -> bool:
     return True  # kernels denote the nonnegative root
 
 
+def _evidently_positive(p: MPoly) -> bool:
+    """Whether ``p`` is positive wherever it is nonzero: its terms, or those
+    of each odd power in its square-free factorization (with a positive
+    constant), are all nonnegative."""
+    def termwise(p: MPoly) -> bool:
+        return all(c > 0 and all(e % 2 == 0 or _gen_is_positive(g) for g, e in m)
+                   for m, c in p.terms.items())
+
+    if termwise(p):
+        return True
+    (f,), back = _in_ring([p])
+    lc, factors = f.sqf_list()  # monic factors
+    return lc > 0 and all(termwise(back(h)) for h, k in factors if k % 2)
+
+
 def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
     """sqrt of a kernel-free polynomial as (coeff, monomial, kernel-monomial).
 
@@ -767,9 +681,17 @@ class NormalForm:
 
     def sqrt(self) -> "NormalForm":
         # sqrt(num/den) = sqrt(num*den)/den; denominators arising here are
-        # positive (powers of scale symbols and positive radicands)
-        coeff, mono, kern = _sqrt_poly(self.num * self.den)
-        return NormalForm(MPoly({_mono_mul(mono, kern): _norm(coeff)}), self.den)
+        # positive (powers of scale symbols and positive radicands).  The
+        # canonical form gives equal values the same radicand, but making
+        # its denominator monic can flip its sign (x2 - x1^2 to x1^2 - x2):
+        # it is taken when it, or its ratio to ``self.den``, is positive.
+        c = self.canonical()
+        if c.den != self.den and not _evidently_positive(c.den):
+            q = self.den.divexact(c.den)
+            if q is None or not _evidently_positive(q):
+                c = self
+        coeff, mono, kern = _sqrt_poly(c.num * c.den)
+        return NormalForm(MPoly({_mono_mul(mono, kern): _norm(coeff)}), c.den)
 
     # -- conversion --------------------------------------------------------
 
@@ -873,42 +795,157 @@ def _gen_to_expr(g: Gen) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# normalize / sym_equal
+# One evaluator over three value rings
 # ---------------------------------------------------------------------------
 
-def _to_nf(e: Expr, memo: dict[int, NormalForm] | None = None) -> NormalForm:
-    """Lightly reduced normal form; equal subtrees are converted once.
+def _float_leaf(b: Bindings, e: Expr) -> Number:
+    try:
+        return b.vars[e.index] if type(e) is Var else b.syms[e.name]
+    except KeyError:
+        if type(e) is Var:
+            raise EvalError(f"unbound variable x{e.index}") from None
+        if e.name == "pi":
+            return math.pi
+        raise EvalError(f"unbound symbol {e.name!r}") from None
+
+
+def _float_pow(base: Number, q: Fraction) -> Number:
+    if _is_array(base):
+        import numpy as np
+
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.power(base, float(q))
+    if q.denominator == 2 and base < 0:
+        raise DomainError(f"negative base {base} under fractional power {q}")
+    if base == 0 and q < 0:
+        raise DomainError("division by zero")
+    try:
+        return float(base) ** float(q) if q.denominator == 2 else float(base) ** q.numerator
+    except OverflowError:
+        raise DomainError(f"{base} ^ ({q}) overflows a double") from None
+
+
+def _float_atom(cls: type, u: Number) -> Number:
+    if cls is NormCdf:
+        return norm_cdf(u)
+    if cls is NormPdf:
+        return norm_pdf(u)
+    if _is_array(u):
+        import numpy as np
+
+        return np.exp(u)
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise DomainError(f"exp({u}) overflows a double") from None
+
+
+def _registered_pow(kernels: KernelRegistry | None, base: Expr, q: Fraction) -> Expr:
+    if q.denominator == 2 and kernels is not None:
+        # the original base passed the positivity gate; substitution is
+        # mechanical, so its image stays a valid kernel
+        kernels.register(base)
+    return pow_(base, q, kernels)
+
+
+# sums and products fold in term order, so float bits match a plain loop
+_FOLD_ADD = partial(reduce, operator.add)
+_FOLD_MUL = partial(reduce, operator.mul)
+
+
+class Ring:
+    """A value ring: ``float`` (double precision under the :class:`Bindings`
+    ``leaves``), ``nf`` (exact :class:`NormalForm`) or ``expr`` (expressions
+    rebuilt canonically under the substitution mapping ``leaves``, with
+    half-power bases registered in ``kernels``).
+
+    :func:`evaluate` maps nodes through ``const``, ``leaf``, ``pow``,
+    ``atom`` (exp/Phi/phi; ``None`` in the ``nf`` ring, where they have no
+    value), ``add`` and ``mul``; the coefficient contraction also uses
+    ``zero`` (a value), ``is_zero``, :meth:`sum` and ``finish`` (symbolic
+    values as Exprs for results).  All are plain functions picked once per
+    ring, so a node costs no test of ``kind``; they hold the leaves or the
+    kernels but never the ring, so no reference cycle keeps a call's arrays
+    alive until the cyclic GC runs.
+    """
+
+    __slots__ = ("kind", "leaves", "kernels", "const", "leaf", "pow", "atom", "add", "mul",
+                 "zero", "is_zero", "finish")
+
+    def __init__(self, kind: str, leaves=None, kernels: KernelRegistry | None = None):
+        self.kind, self.leaves, self.kernels = kind, leaves, kernels
+        self.add, self.mul, self.finish = _FOLD_ADD, _FOLD_MUL, lambda v: v
+        if kind == "float":
+            self.const = lambda e: float(e.value)
+            self.leaf, self.pow, self.atom = partial(_float_leaf, leaves), _float_pow, _float_atom
+            self.zero, self.is_zero = 0.0, operator.not_
+        elif kind == "nf":
+            self.const = lambda e: NormalForm.from_fraction(e.value)
+            self.leaf = lambda e: (NormalForm.var(e.index) if type(e) is Var
+                                   else NormalForm.sym(e.name))
+            self.pow, self.atom = NormalForm.pow, None
+            self.zero = NormalForm.from_fraction(Fraction(0))
+            self.is_zero = operator.attrgetter("is_zero")
+            self.finish = lambda v: v.canonical().to_expr()
+        else:
+            mapping = leaves or {}
+            self.const = lambda e: e
+            self.leaf = lambda e: mapping.get(e, e)
+            self.pow = partial(_registered_pow, kernels)
+            self.atom = lambda cls, u: cls(u)
+            self.add = lambda vals: add(*vals)
+            self.mul = lambda vals: mul(*vals)
+            self.zero, self.is_zero = ZERO, partial(operator.is_, ZERO)
+
+    def sum(self, terms):
+        terms = list(terms)
+        return self.add(terms) if terms else self.zero
+
+
+def evaluate(e: Expr, ring: Ring, memo: dict[int, object]):
+    """``e`` as a value of ``ring``; equal subtrees are one interned node and
+    are mapped once.
 
     ``memo`` is keyed by the id of the interned node, so it is memoised by
-    structure; a memo kept across calls may only hold nodes that outlive it."""
-    if memo is None:
-        memo = {}
-    out = memo.get(id(e))
+    structure; a memo kept across calls may only hold nodes that outlive it.
+    The ``nf`` ring raises :class:`TranscendentalResidueError` at an
+    exp/Phi/phi node before it maps the argument."""
+    key = id(e)
+    out = memo.get(key)
     if out is not None:
         return out
-    if isinstance(e, Const):
-        out = NormalForm.from_fraction(e.value)
-    elif isinstance(e, Sym):
-        out = NormalForm.sym(e.name)
-    elif isinstance(e, Var):
-        out = NormalForm.var(e.index)
-    elif isinstance(e, Add):
-        out = _to_nf(e.terms[0], memo)
-        for t in e.terms[1:]:
-            out = out + _to_nf(t, memo)
-    elif isinstance(e, Mul):
-        out = _to_nf(e.factors[0], memo)
-        for f in e.factors[1:]:
-            out = out * _to_nf(f, memo)
-    elif isinstance(e, Pow):
-        out = _to_nf(e.base, memo).pow(e.exponent)
-    else:
+    cls = type(e)
+    if cls is Mul:
+        out = ring.mul([evaluate(f, ring, memo) for f in e.factors])
+    elif cls is Add:
+        out = ring.add([evaluate(t, ring, memo) for t in e.terms])
+    elif cls is Const:
+        out = ring.const(e)
+    elif cls is Pow:
+        out = ring.pow(evaluate(e.base, ring, memo), e.exponent)
+    elif cls is Sym or cls is Var:
+        out = ring.leaf(e)
+    elif ring.atom is None:
         raise TranscendentalResidueError(
-            f"transcendental residue: {type(e).__name__} node cannot be normalized"
+            f"transcendental residue: {cls.__name__} node cannot be normalized"
         )
-    memo[id(e)] = out
+    else:
+        out = ring.atom(cls, evaluate(e.arg, ring, memo))
+    memo[key] = out
     return out
 
+
+_NF = Ring("nf")
+
+
+def _to_nf(e: Expr, memo: dict[int, NormalForm] | None = None) -> NormalForm:
+    """Lightly reduced normal form (``evaluate`` in the ``nf`` ring)."""
+    return evaluate(e, _NF, {} if memo is None else memo)
+
+
+# ---------------------------------------------------------------------------
+# normalize / sym_equal
+# ---------------------------------------------------------------------------
 
 def normalize(e: Expr) -> NormalForm:
     """Canonical normal form; raises :class:`TranscendentalResidueError`

@@ -34,6 +34,7 @@ from typing import Mapping, Union
 from .algebra import (
     Bindings,
     NormalForm,
+    Ring,
     TranscendentalResidueError,
     norm_cdf,
     norm_pdf,
@@ -240,73 +241,29 @@ def build_model(
 # Value rings
 # ---------------------------------------------------------------------------
 
-class _Ring:
-    """Dispatch for float / NormalForm / Expr coefficient arithmetic."""
-
-    def __init__(self, kind: str, kernels: KernelRegistry | None = None):
-        self.kind = kind
-        self.kernels = kernels
-
-    def zero(self):
-        if self.kind == "float":
-            return 0.0
-        if self.kind == "nf":
-            return NormalForm.from_fraction(Fraction(0))
-        return ZERO
-
-    def is_zero(self, v) -> bool:
-        if self.kind == "float":
-            return v == 0.0
-        if self.kind == "nf":
-            return v.is_zero
-        return v == ZERO
-
-    def sum(self, terms):
-        acc = None
-        for t in terms:
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else self.zero()
-
-    def convert(self, v, memo: dict):
-        """``v`` (an Expr, or a float for the float ring) as a ring value;
-        ``memo`` shares the normal forms of subtrees by node id."""
-        if self.kind == "float":
-            return float(v)
-        if self.kind == "nf":
-            return _to_nf(v, memo)
-        return v
-
-    def finish(self, v) -> Value:
-        """Canonicalize for storage in results (symbolic values as Exprs)."""
-        if self.kind == "nf":
-            return v.canonical().to_expr()
-        return v
-
-    def sqrt32(self, v):
-        """v^(3/2)."""
-        if self.kind == "float":
-            return v ** 1.5
-        if self.kind == "nf":
-            return v.pow(Fraction(3, 2))
-        if self.kernels is not None:
-            self.kernels.register(v)
-        return pow_(v, Fraction(3, 2), self.kernels)
+def _convert(ring: Ring, v, memo: dict):
+    """``v`` (an Expr, or a float for the float ring) as a ring value;
+    ``memo`` shares the normal forms of subtrees by node id.  Normal forms go
+    through this module's ``_to_nf`` name, which ``bench/tracing.py`` times."""
+    if ring.kind == "nf":
+        return _to_nf(v, memo)
+    return float(v) if ring.kind == "float" else v
 
 
-def _ring_of(values, kernels: KernelRegistry | None = None) -> tuple[_Ring, list]:
+def _ring_of(values, kernels: KernelRegistry | None = None) -> tuple[Ring, list]:
     """The one value-ring rule, and ``values`` converted into the ring it
     picks: floats when no value is an Expr, else exact normal forms, else
     (a value is transcendental) plain expressions carrying ``kernels``."""
     values = list(values)
-    ring = _Ring("nf" if any(isinstance(v, Expr) for v in values) else "float")
+    ring = Ring("nf" if any(isinstance(v, Expr) for v in values) else "float")
     memo: dict[int, NormalForm] = {}  # by node id: ``values`` keeps the nodes alive
     try:
-        return ring, [ring.convert(v, memo) for v in values]
+        return ring, [_convert(ring, v, memo) for v in values]
     except TranscendentalResidueError:
-        return _Ring("expr", kernels), values
+        return Ring("expr", kernels=kernels), values
 
 
-def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
+def _model_ring(model: StatModel) -> tuple[Ring, dict]:
     """The value ring of the derivative table and the table converted into
     it (a function of its own: ``bench/tracing.py`` records its ring)."""
     ring, values = _ring_of(model.deriv.values(), model.kernels)
@@ -316,7 +273,7 @@ def _model_ring(model: StatModel) -> tuple[_Ring, dict]:
 class _MomentView:
     """Ring-converted, memoized access to the cross moments of ``spec``."""
 
-    def __init__(self, spec: MomentSpec, ring: _Ring):
+    def __init__(self, spec: MomentSpec, ring: Ring):
         self.spec = spec
         self.ring = ring
         self._cache: dict[tuple[int, ...], object] = {}
@@ -332,7 +289,7 @@ class _MomentView:
             # through the module: bench/tracing.py times moments.cross_moment
             moment = moments.cross_moment(self.spec, key)
             self._moments.append(moment)
-            got = self._cache[key] = self.ring.convert(moment, self._memo)
+            got = self._cache[key] = _convert(self.ring, moment, self._memo)
         return got
 
 
@@ -517,7 +474,7 @@ class Poly:
         return expr_add(*terms) if terms else ZERO
 
 
-def _finished(ring: _Ring, coeffs) -> Poly:
+def _finished(ring: Ring, coeffs) -> Poly:
     return Poly(tuple(ring.finish(c) for c in coeffs))
 
 
@@ -529,7 +486,7 @@ def edgeworth_polys(k: CumulantCoeffs) -> tuple[Poly, Poly]:
     c_a = Fraction(1, 2) * (k22 + k12 * k12)
     c_b = Fraction(1, 24) * (k41 + Fraction(4) * (k12 * k31))
     c_c = Fraction(1, 72) * (k31 * k31)
-    zero = ring.zero()
+    zero = ring.zero
     p1 = (-(k12 - Fraction(1, 6) * k31), zero, -(Fraction(1, 6) * k31))
     p2 = (zero, -(c_a - Fraction(3) * c_b + Fraction(15) * c_c), zero,
           -(c_b - Fraction(10) * c_c), zero, -c_c)
@@ -543,7 +500,7 @@ def cornish_fisher_polys(p1: Poly, p2: Poly) -> tuple[Poly, Poly]:
     (b5 = -k31^2/72 = -a2^2/2), so p21 is odd with degree 3."""
     ring, (a0, a2, b1, b3) = _ring_of(
         (p1.coeffs[0], p1.coeffs[2], p2.coeffs[1], p2.coeffs[3]))
-    zero = ring.zero()
+    zero = ring.zero
     p11 = (-a0, zero, -a2)
     p21 = (zero, a0 * (Fraction(2) * a2) - Fraction(1, 2) * (a0 * a0) - b1,
            zero, a2 * (Fraction(2) * a2) - a0 * a2 - b3)
@@ -574,7 +531,7 @@ def accel_constant(model: StatModel) -> AccelResult:
     ring, _, _, nonzero1, S2, A = _first_order(model)
     if not nonzero1 or (ring.kind == "float" and (not math.isfinite(S2) or S2 <= 0)):
         raise ModelError("zero asymptotic variance in acceleration constant")
-    sigma3 = ring.sqrt32(S2)
+    sigma3 = ring.pow(S2, Fraction(3, 2))
     a_over = A / (Fraction(6) * sigma3)
     return AccelResult(
         A_value=ring.finish(A),

@@ -533,7 +533,11 @@ def parse(text: str, kernels: KernelRegistry | None = None) -> Expr:
     cost is the text's distinct groups plus the length of the text.
     """
     toks = _Tokens(text)
-    e = _parse_expr(toks, kernels)
+    try:
+        e = _parse_expr(toks, kernels)
+    except RecursionError:
+        # each nested group costs a few frames of the recursive descent
+        raise ParseError(f"parentheses nested too deeply at position {toks.pos}") from None
     kind, value, pos = toks.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {value!r} at position {pos}")

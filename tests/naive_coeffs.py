@@ -25,46 +25,46 @@ def cumulant_coeffs_naive(model: StatModel) -> CumulantCoeffs:
         return a[tuple(sorted(idx))]
 
     k12 = Fraction(1, 2) * sum(
-        (a_(i, j) * M(i, j) for i in rng1 for j in rng1), start=ring.zero()
+        (a_(i, j) * M(i, j) for i in rng1 for j in rng1), start=ring.zero
     )
     k22 = (
         sum((a_(i) * a_(j, k) * M(i, j, k) for i in rng1 for j in rng1 for k in rng1),
-            start=ring.zero())
+            start=ring.zero)
         + Fraction(1, 2) * sum(
             (a_(i, j) * a_(k, l) * M(i, k) * M(j, l)
              for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
+            start=ring.zero)
         + sum(
             (a_(i) * a_(j, k, l) * M(i, j) * M(k, l)
              for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
+            start=ring.zero)
     )
     k31 = (
         sum((a_(i) * a_(j) * a_(k) * M(i, j, k)
-             for i in rng1 for j in rng1 for k in rng1), start=ring.zero())
+             for i in rng1 for j in rng1 for k in rng1), start=ring.zero)
         + 3 * sum(
             (a_(i) * a_(j) * a_(k, l) * M(i, k) * M(j, l)
              for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
+            start=ring.zero)
     )
     k41 = (
         sum((a_(i) * a_(j) * a_(k) * a_(l) * (M(i, j, k, l) - 3 * (M(i, j) * M(k, l)))
              for i in rng1 for j in rng1 for k in rng1 for l in rng1),
-            start=ring.zero())
+            start=ring.zero)
         + 12 * sum(
             (a_(i) * a_(j) * a_(k) * a_(l, m) * M(i, l) * M(j, k, m)
              for i in rng1 for j in rng1 for k in rng1 for l in rng1 for m in rng1),
-            start=ring.zero())
+            start=ring.zero)
         + 12 * sum(
             (a_(i) * a_(j) * a_(k, l) * a_(m, o) * M(i, k) * M(j, m) * M(l, o)
              for i in rng1 for j in rng1 for k in rng1 for l in rng1
              for m in rng1 for o in rng1),
-            start=ring.zero())
+            start=ring.zero)
         + 4 * sum(
             (a_(i) * a_(j) * a_(k) * a_(l, m, o) * M(i, l) * M(j, m) * M(k, o)
              for i in rng1 for j in rng1 for k in rng1 for l in rng1
              for m in rng1 for o in rng1),
-            start=ring.zero())
+            start=ring.zero)
     )
     return CumulantCoeffs(
         k12=ring.finish(k12),

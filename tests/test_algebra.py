@@ -285,6 +285,21 @@ class TestSymEqual:
     def test_not_equal(self):
         assert not sym_equal(parse("x"), parse("x + 1"))
 
+    def test_square_root_of_a_fraction_with_a_common_factor(self):
+        # the radicand is taken from the canonical form, so (1 + x4) cancels
+        # before the root is taken
+        assert sym_compare(parse("sqrt((x2 + x2*x4)/(x4 + x4^2))"),
+                           parse("sqrt(x2/x4)")) == Comparison(True, "symbolic")
+
+    def test_square_root_keeps_its_sign_when_the_monic_denominator_flips(self):
+        # (x4 - x1^4)*(x2 - x1^2)/(x2 - x1^2)^2, written out: its canonical
+        # denominator x1^2 - x2 is negative wherever the variance is
+        # positive, so the root must not be taken over it
+        rad = "(x4*x2 - x4*x1^2 - x1^4*x2 + x1^6)/(x2^2 - 2*x2*x1^2 + x1^4)"
+        e = parse(f"sqrt({rad})", KernelRegistry([parse(rad)]))
+        b = Bindings({}, {1: 0.5, 2: 2.0, 4: 5.0})
+        assert eval_numeric(normalize(e).to_expr(), b) == pytest.approx(eval_numeric(e, b))
+
     def test_variance_h_squared_matches_quartic(self):
         # auto-derived h^2 for the variance statistic equals the closed quartic
         from edgeboot.edgeworth import Mode, build_model

@@ -6,7 +6,9 @@ import pytest
 
 from edgeboot import bootstrap, harness
 from edgeboot.cli import main
+from edgeboot.codegen import reimport_check
 from edgeboot.config import load_config
+from edgeboot.expr import KernelRegistry
 
 
 def run(capsys, *argv):
@@ -385,6 +387,14 @@ class TestPinnedOutput:
 
 
 class TestExport:
+    @pytest.mark.parametrize("mode", ["plain", "studentized"])
+    def test_variance_export_reimports_with_a_fresh_registry(self, capsys, mode):
+        code, out, err = run(capsys, "export", "--stat", "variance", "--mode", mode,
+                             "--moments", "symbolic")
+        assert (code, err) == (0, "")
+        back = reimport_check(out, KernelRegistry())
+        assert [name for name, _ in back] == ["A", "a", "p1", "p2", "p11", "p21"]
+
     def test_mean_export_contains_gamma1_line(self, capsys, tmp_path):
         out_file = tmp_path / "results.txt"
         code, out, _ = run(capsys, "export", "--stat", "mean", "--mode", "studentized",
@@ -419,6 +429,27 @@ class TestErrors:
         code, out, err = run(capsys, "expand", "--stat", str(cfg))
         assert (code, out) == (1, "")
         assert err == "error: exp(1000.0) overflows a double\n"
+
+    @staticmethod
+    def _nested(tmp_path, depth):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("[statistic]\ng = " + "(" * depth + "x1" + ")" * depth + "\n")
+        return str(cfg)
+
+    @pytest.mark.parametrize("depth", [200, 5000])
+    def test_deep_nesting_is_one_error_line(self, capsys, tmp_path, depth):
+        # the parser recurses per group: too deep a nest is a ParseError, not
+        # a RecursionError traceback
+        code, out, err = run(capsys, "expand", "--stat", self._nested(tmp_path, depth),
+                             "--moments", "gaussian")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: parentheses nested too deeply at position ")
+        assert err.count("\n") == 1
+
+    def test_nesting_far_past_any_preset_parses(self, capsys, tmp_path):
+        code, _, err = run(capsys, "expand", "--stat", self._nested(tmp_path, 100),
+                           "--moments", "gaussian")
+        assert (code, err) == (0, "")
 
     def test_moment_overflow_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "expand", "--stat", "mean", "--moments", "gaussian",
