@@ -8,10 +8,10 @@ per grid point plus a trailing summary block of sup-distances (as
 written; the rearranged ones are clipped to [0,1] and sorted.
 
 Replications are drawn in fixed chunks from substreams seeded by
-``(seed, chunk)``.  The chunks are drawn and reduced to power means on up to
-:data:`MAX_WORKERS` threads, and the statistic is evaluated on the calling
-thread in chunk order.  A chunk's draws depend only on ``(seed, chunk)``, so
-the same configuration yields a bit-identical CSV whatever the thread count.
+``(seed, chunk)``.  Up to :data:`MAX_WORKERS` threads draw chunks in row blocks
+and reduce them to power means; the calling thread evaluates the statistic over
+slices of each chunk, in order.  A chunk's draws depend only on ``(seed, chunk)``,
+so a configuration yields a bit-identical CSV whatever the thread count.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .moments import powers
 from .rearrange import Curve, clip01, is_nondecreasing, rearrange_increasing
 
 _CHUNK_ROWS = 65536
+_BLOCK_BYTES = 2**19  # of draws per row block; a chunk's means are its only full-size arrays
+_EVAL_ROWS = 16384  # per evaluation slice: a multiple of 8, so no SIMD lane offset moves
 MAX_GRID_POINTS = 100_000  # each point costs a CSV row and four expansion evaluations
-# every kept rep is held twice while the chunks are joined, 8 B each: 0.8 GB at the cap
+# every kept rep is held once, 8 B each: 0.4 GB at the cap
 MAX_REPS = 50_000_000
 MAX_WORKERS = 4
-# the draws of the chunks in flight stay within this many bytes
-_INFLIGHT_BYTES = 256 * 2**20
 
 CSV_HEADER = "x,empirical,normal,edge1,edge2,edge1_rearranged,edge2_rearranged"
 
@@ -99,27 +99,28 @@ def _draw(cfg: McConfig, rng: np.random.Generator, rows: int) -> np.ndarray:
     raise HarnessError(f"unknown distribution {cfg.distribution!r}")
 
 
-def _worker_count(n: int) -> int:
-    """Threads for the draws: the CPUs this process may run on, at most
-    MAX_WORKERS, and few enough that the chunks in flight stay within
-    _INFLIGHT_BYTES (a chunk holds its draws and one live power)."""
+def _worker_count() -> int:
+    """Threads for the draws: the CPUs this process may run on, at most MAX_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    per_chunk = _CHUNK_ROWS * n * 8 * 2
-    return max(1, min(cpus, MAX_WORKERS, _INFLIGHT_BYTES // per_chunk))
+    return max(1, min(cpus, MAX_WORKERS))
 
 
 def _chunk_means(cfg: McConfig, dims: int, c: int) -> dict[int, np.ndarray]:
-    """Row means of the first ``dims`` powers of chunk ``c``'s draws.
-
-    Runs on a worker thread: numpy only, so no Expr is built and no
-    statistic is evaluated here."""
+    """Row means of the first ``dims`` powers of chunk ``c``'s draws, drawn in
+    row blocks from one generator (the same numbers as one draw of the chunk).
+    Runs on a worker thread: numpy only, no Expr is built or evaluated here."""
     rows = min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-    w = _draw(cfg, rng, rows)
-    return {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, dims), start=1)}
+    means = {i: np.empty(rows) for i in range(1, dims + 1)}
+    block = max(1, _BLOCK_BYTES // (8 * cfg.n))
+    for lo in range(0, rows, block):
+        w = _draw(cfg, rng, min(block, rows - lo))
+        for i, wp in enumerate(powers(w, dims), start=1):
+            wp.mean(axis=1, out=means[i][lo:lo + len(w)])
+    return means
 
 
 def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarray, int]:
@@ -128,9 +129,9 @@ def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarr
         raise HarnessError("simulation needs a numeric moment spec")
     sqrt_n = math.sqrt(cfg.n) * cfg.statistic_scale
     n_chunks = -(-cfg.reps // _CHUNK_ROWS)
-    workers = _worker_count(cfg.n)
-    chunks: list[np.ndarray] = []
-    excluded = 0
+    workers = _worker_count()
+    values = np.empty(cfg.reps)
+    kept = 0
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         # at most `workers` chunks in flight; results are taken in chunk order
@@ -140,18 +141,19 @@ def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarr
             means = pending.popleft().result()
             if c + workers < n_chunks:
                 pending.append(pool.submit(_chunk_means, cfg, model.dims, c + workers))
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
-            vals = sqrt_n * np.asarray(vals, dtype=float)
-            keep = vals[np.isfinite(vals)]
-            excluded += vals.size - keep.size
-            chunks.append(keep)
+            for lo in range(0, len(means[1]), _EVAL_ROWS):
+                part = {i: m[lo:lo + _EVAL_ROWS] for i, m in means.items()}
+                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                    vals = eval_numeric(model.a_expr, Bindings(dict(model.params), part))
+                vals = sqrt_n * np.asarray(vals, dtype=float)
+                keep = vals[np.isfinite(vals)]
+                values[kept:kept + keep.size] = keep
+                kept += keep.size
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    values = np.concatenate(chunks)
-    if values.size == 0:
+    if kept == 0:
         raise HarnessError("statistic undefined on every draw")
-    return values, int(excluded)
+    return values[:kept], cfg.reps - kept
 
 
 def simulate_statistic_cdf(model: StatModel, cfg: McConfig) -> tuple[Curve, int]:
@@ -212,10 +214,7 @@ def compare_and_emit(
     for i, x in enumerate(grid):
         row = (x, emp[i], normal[i], edge1[i], edge2[i], edge1_r[i], edge2_r[i])
         out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    out.write(f"# sup_dist_normal = {summary.sup_normal:.17g}\n")
-    out.write(f"# sup_dist_edge1 = {summary.sup_edge1:.17g}\n")
-    out.write(f"# sup_dist_edge2 = {summary.sup_edge2:.17g}\n")
-    out.write(f"# sup_dist_edge1_rearranged = {summary.sup_edge1_rearranged:.17g}\n")
-    out.write(f"# sup_dist_edge2_rearranged = {summary.sup_edge2_rearranged:.17g}\n")
+    for col in ("normal", "edge1", "edge2", "edge1_rearranged", "edge2_rearranged"):
+        out.write(f"# sup_dist_{col} = {getattr(summary, 'sup_' + col):.17g}\n")
     out.write(f"# excluded_draws = {summary.excluded}\n")
     return summary

@@ -1,6 +1,7 @@
 import io
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from edgeboot.algebra import Bindings, eval_numeric
 from edgeboot.expr import parse
 from edgeboot import harness
 from edgeboot.cli import main
+from edgeboot.config import load_config, model_from_config
 from edgeboot.harness import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -241,9 +243,21 @@ def _serial_values(model, cfg):
 
 
 class TestWorkers:
+    @staticmethod
+    def _check_against_oracle(model, cfg, monkeypatch):
+        want, want_excluded = _serial_values(model, cfg)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(harness, "_worker_count", lambda k=workers: k)
+            got, excluded = simulate_statistic_values(model, cfg)
+            assert got.tobytes() == want.tobytes(), workers
+            assert excluded == want_excluded, workers
+        return want_excluded
+
     def test_thread_count_changes_no_value(self, monkeypatch):
-        # sqrt(x1) is undefined on part of the draws, so the excluded count
-        # is compared too; the last chunk is partial
+        # sqrt(x1) is undefined on about a fifth of the draws, so the
+        # excluded count is compared too, and the evaluation slice at rows
+        # 16,384-32,767 has excluded draws on both sides of the draw block
+        # boundary at row 21,845; the last chunk is partial
         from edgeboot.expr import KernelRegistry, Var
 
         reg = KernelRegistry([Var(1)])
@@ -251,34 +265,55 @@ class TestWorkers:
                             gaussian_spec(0.5, 1.0, 8), kernels=reg)
         cfg = McConfig("gaussian", n=3, mu=0.5, reps=2 * harness._CHUNK_ROWS + 5,
                        grid=parse_grid("-1:1:0.5"), seed=77)
-        want, want_excluded = _serial_values(model, cfg)
-        assert want_excluded > 0
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(harness, "_worker_count", lambda n, k=workers: k)
-            got, excluded = simulate_statistic_values(model, cfg)
-            assert np.array_equal(got, want), workers
-            assert excluded == want_excluded, workers
+        assert harness._BLOCK_BYTES // (8 * cfg.n) == 21845
+        x1 = harness._chunk_means(cfg, 1, 0)[1]
+        assert (x1[16384:21845] < 0).any() and (x1[21845:32768] < 0).any()
+        assert self._check_against_oracle(model, cfg, monkeypatch) > 0
+
+    def test_transcendental_statistic_is_bit_identical(self, monkeypatch):
+        # exp, Phi and phi nodes, exponential draws, and an n whose draw
+        # blocks do not divide the chunk
+        model = model_from_config(load_config("ml_symmetric"), Mode.STUDENTIZED)
+        cfg = McConfig("exponential", n=7, reps=harness._CHUNK_ROWS + 20001,
+                       grid=parse_grid("-1:1:0.5"), seed=21)
+        assert harness._CHUNK_ROWS % (harness._BLOCK_BYTES // (8 * cfg.n)) != 0
+        self._check_against_oracle(model, cfg, monkeypatch)
 
     def test_worker_count_bounds(self, monkeypatch):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
-        assert harness._worker_count(10) == MAX_WORKERS
-        # one chunk of n = 256 draws and a power is 256 MiB
-        assert harness._worker_count(256) == 1
-        assert harness._worker_count(10**6) == 1
+        assert harness._worker_count() == MAX_WORKERS
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert harness._worker_count() == min(2, MAX_WORKERS)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
-        assert harness._worker_count(10) == 1
+        assert harness._worker_count() == 1
 
     def test_worker_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        assert harness._worker_count(10) == min(3, MAX_WORKERS)
+        assert harness._worker_count() == min(3, MAX_WORKERS)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert harness._worker_count(10) == 1
+        assert harness._worker_count() == 1
+
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_chunk_memory_is_bounded(self, n):
+        # the chunk's four mean arrays, plus a few draw blocks: no array
+        # grows with the chunk size times n
+        cfg = McConfig("gaussian", n=n, reps=harness._CHUNK_ROWS,
+                       grid=parse_grid("-1:1:0.5"), seed=3)
+        bound = 4 * harness._CHUNK_ROWS * 8 + 4 * harness._BLOCK_BYTES
+        np.random.default_rng(0)  # numpy.random is imported on first use; not traced
+        tracemalloc.start()
+        try:
+            harness._chunk_means(cfg, 4, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
 
     def test_worker_error_reaches_the_caller_and_threads_end(self, plain_mean_model,
                                                              monkeypatch):
-        monkeypatch.setattr(harness, "_worker_count", lambda n: 3)
+        monkeypatch.setattr(harness, "_worker_count", lambda: 3)
         cfg = McConfig("uniform", n=10, reps=5 * harness._CHUNK_ROWS,
                        grid=parse_grid("-1:1:0.5"), seed=1)
         before = threading.active_count()
