@@ -57,7 +57,6 @@ _LAZY = {
         "bca_from_replicates",
         "bca_interval",
         "resample_distribution",
-        "statistic_evaluator",
     ),
     "harness": ("McConfig", "compare_and_emit", "parse_grid", "simulate_statistic_cdf"),
 }

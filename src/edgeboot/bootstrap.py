@@ -3,8 +3,9 @@
 Resampling is deterministic and parallelizable: replicate indices are drawn
 in fixed-size chunks, chunk ``c`` from the substream seeded by
 ``(seed, c)``, so the same (data, config) always yields bit-identical
-replicate lists regardless of scheduling.  The statistic is evaluated in
-blocks of ``_BLOCK_CHUNKS`` chunks, so memory stays bounded in ``B``; each
+replicate lists regardless of scheduling.  The replicates run through the
+Monte Carlo engine, :func:`edgeboot.harness.replicate_values`: worker threads
+draw row blocks of whole chunks and reduce them to power means, and each
 row's replicate depends only on its own chunk, so blocking changes no value.
 
 The bias correction is ``m = Phi^{-1}(H(theta_hat))`` with ``H`` the weak
@@ -18,47 +19,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import Bindings, eval_numeric, differentiate, norm_cdf, norm_ppf
 from .edgeworth import Statistic, StatModel
 from .expr import ZERO, arity
+from .harness import _BLOCK_BYTES, _EVAL_ROWS, power_means, replicate_values
 from .moments import powers
 
 _CHUNK = 256
-_BLOCK_CHUNKS = 64  # 16,384 rows of indices and data per evaluation
-# the replicates are held, 8 B each, in a few copies while filtered and sorted
+# each replicate is held once, 8 B each, and sorted in place: 80 MB at the cap
 MAX_BOOT_B = 10_000_000
 
 
-class BootstrapError(Exception):
+class BootstrapError(ValueError):
     pass
 
 
 class BiasCorrectionUndefinedError(BootstrapError):
     """H(theta_hat) is 0 or 1: the bias correction does not exist."""
-
-
-StatFn = Callable[[np.ndarray], np.ndarray]
-
-
-def statistic_evaluator(model: StatModel | Statistic) -> StatFn:
-    """Vectorized theta-hat: g at the power means of each resample row."""
-    g = model.g
-    d = arity(g)
-    params = dict(model.params)
-
-    def evaluate(samples: np.ndarray) -> np.ndarray:
-        w = np.asarray(samples, dtype=float)
-        if w.ndim == 1:
-            w = w[None, :]
-        means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, d), start=1)}
-        out = eval_numeric(g, Bindings(params, means))
-        return np.asarray(out, dtype=float).reshape(w.shape[0])
-
-    return evaluate
 
 
 @dataclass(frozen=True)
@@ -104,25 +85,8 @@ def _resample_indices(n: int, B: int, seed: int, first_chunk: int = 0) -> np.nda
     return np.vstack(blocks)
 
 
-def _resample_blocks(n: int, B: int, seed: int):
-    """The rows of ``_resample_indices(n, B, seed)``, _BLOCK_CHUNKS chunks at a time."""
-    rows = _BLOCK_CHUNKS * _CHUNK
-    for start in range(0, B, rows):
-        yield _resample_indices(n, min(rows, B - start), seed, start // _CHUNK)
-
-
-def _exhaustive_rows(n: int):
-    total = n**n
-    if total > 20_000_000:
-        raise BootstrapError("exhaustive enumeration limited to n <= 8")
-    step = max(1, 2_000_000 // max(n, 1))
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total))
-        yield np.stack(np.unravel_index(idx, (n,) * n), axis=1)
-
-
 def resample_distribution(
-    data: Sequence[float], cfg: BootConfig, stat: StatFn
+    data: Sequence[float], cfg: BootConfig, model: StatModel | Statistic
 ) -> tuple[np.ndarray, int]:
     """Sorted replicate distribution and the count of undefined replicates.
 
@@ -132,16 +96,36 @@ def resample_distribution(
     n = w.size
     if n < 2:
         raise BootstrapError("need at least two observations")
+    d = arity(model.g)
+    if d < 1:
+        raise BootstrapError("statistic must depend on at least x1")
     if cfg.exhaustive:
-        blocks = _exhaustive_rows(n)
+        total = n**n
+        if total > 20_000_000:
+            raise BootstrapError("exhaustive enumeration limited to n <= 8")
+
+        def rows(lo: int, size: int) -> np.ndarray:
+            return np.stack(np.unravel_index(np.arange(lo, lo + size), (n,) * n), axis=1)
     else:
-        blocks = _resample_blocks(n, cfg.B, cfg.seed)
-    reps = np.concatenate([stat(w[rows]) for rows in blocks])
-    finite = reps[np.isfinite(reps)]
-    nan_count = int(reps.size - finite.size)
-    if finite.size == 0:
+        total = cfg.B
+
+        def rows(lo: int, size: int) -> np.ndarray:
+            return _resample_indices(n, size, cfg.seed, lo // _CHUNK)
+
+    # a task is one evaluation slice, drawn in row blocks of whole chunks
+    step = max(1, _BLOCK_BYTES // (8 * n) // _CHUNK) * _CHUNK
+
+    def fill(k: int) -> dict[int, np.ndarray]:
+        start = k * _EVAL_ROWS
+        return power_means(lambda lo, size: w[rows(start + lo, size)],
+                           min(_EVAL_ROWS, total - start), step, d)
+
+    reps, nan_count = replicate_values(model.g, model.params, total,
+                                       -(-total // _EVAL_ROWS), fill)
+    if reps.size == 0:
         raise BootstrapError("all bootstrap replicates are undefined")
-    return np.sort(finite), nan_count
+    reps.sort()
+    return reps, nan_count
 
 
 def h_value(sorted_reps: np.ndarray, x: float) -> float:
@@ -245,9 +229,10 @@ def bca_interval(
 
     ``a_hat`` overrides the plug-in acceleration (useful for testing the
     a=0 reduction to the percentile interval)."""
-    stat = statistic_evaluator(model)
-    theta_hat = float(stat(np.asarray(data, dtype=float))[0])
-    reps, nan_count = resample_distribution(data, cfg, stat)
+    w = np.asarray(data, dtype=float)
+    means = power_means(lambda lo, size: w[None, :], 1, 1, arity(model.g))
+    theta_hat = float(np.ravel(eval_numeric(model.g, Bindings(dict(model.params), means)))[0])
+    reps, nan_count = resample_distribution(data, cfg, model)
     if a_hat is None:
         a_hat = accel_plugin(data, model)
     return bca_from_replicates(theta_hat, reps, a_hat, cfg.alpha, nan_count)

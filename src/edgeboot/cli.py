@@ -40,6 +40,8 @@ from .edgeworth import (
 from .expr import Expr, ExprError, Sym, pretty_print
 from .moments import MomentError, _read_column, parse_number
 
+# harness's and bootstrap's errors are ValueErrors, so they are reported without
+# importing those modules (and numpy) here
 _ERRORS = (
     AlgebraError,
     CodegenError,
@@ -50,14 +52,6 @@ _ERRORS = (
     OSError,
     ValueError,
 )
-# the errors of the modules that load numpy: each is reported like those
-# above once its module is imported, and cannot be raised before
-_LAZY_ERRORS = (("edgeboot.harness", "HarnessError"), ("edgeboot.bootstrap", "BootstrapError"))
-
-
-def _reported_errors() -> tuple[type[BaseException], ...]:
-    return _ERRORS + tuple(getattr(sys.modules[mod], name)
-                           for mod, name in _LAZY_ERRORS if mod in sys.modules)
 
 
 # harness and bootstrap import numpy, so mc and bca import them on first call,
@@ -386,7 +380,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(joined)
     try:
         return args.fn(args)
-    except _reported_errors() as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

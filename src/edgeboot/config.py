@@ -5,7 +5,7 @@ override), optional ``positive`` (semicolon-separated expressions registered
 as positive square-root kernels) and any further keys as numeric statistic
 parameters (e.g. ``lambda = 1.0``); ``[moments]`` as consumed by
 :func:`edgeboot.moments.spec_from_config`; ``[run]`` with n, reps, grid,
-seed, B, alpha.  ``[moments]`` and ``[run]`` keys are case-insensitive, and
+B, alpha.  ``[moments]`` and ``[run]`` keys are case-insensitive, and
 an unknown or repeated key is an error.
 A malformed number is an error that names its section and key.
 
@@ -25,7 +25,7 @@ from .moments import MOMENT_KEYS, parse_number, spec_from_config
 from .edgeworth import Mode, Statistic, StatModel, build_model, model_shape
 
 _STAT_KEYS = {"name", "g", "mode", "d", "positive"}
-_RUN_KEYS = ("n", "reps", "grid", "seed", "b", "alpha")
+_RUN_KEYS = ("n", "reps", "grid", "b", "alpha")
 
 PRESETS = ("mean", "variance", "ml_symmetric", "ml_general")
 
@@ -49,7 +49,6 @@ class RunConfig:
     n: int = 10
     reps: int = 100000
     grid: str = "-4:4:0.02"
-    seed: int | None = None
     B: int = 1999
     alpha: float = 0.05
 
@@ -120,7 +119,6 @@ def load_config(path_or_name: str) -> FullConfig:
             n=number("n", run.n),
             reps=number("reps", run.reps),
             grid=rn.get("grid", run.grid),
-            seed=number("seed", None) if "seed" in rn else None,
             B=number("b", run.B),
             alpha=number("alpha", run.alpha, float),
         )

@@ -8,10 +8,12 @@ per grid point plus a trailing summary block of sup-distances (as
 written; the rearranged ones are clipped to [0,1] and sorted.
 
 Replications are drawn in fixed chunks from substreams seeded by
-``(seed, chunk)``.  Up to :data:`MAX_WORKERS` threads draw chunks in row blocks
-and reduce them to power means; the calling thread evaluates the statistic over
-slices of each chunk, in order.  A chunk's draws depend only on ``(seed, chunk)``,
-so a configuration yields a bit-identical CSV whatever the thread count.
+``(seed, chunk)``.  :func:`replicate_values` is the replicate engine of both
+``mc`` and the bootstrap: up to :data:`MAX_WORKERS` threads draw tasks in row
+blocks and reduce them to power means, and the calling thread evaluates the
+statistic over slices of each task, in order.  A chunk's draws depend only on
+``(seed, chunk)``, so a configuration yields a bit-identical CSV whatever the
+thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ MAX_WORKERS = 4
 CSV_HEADER = "x,empirical,normal,edge1,edge2,edge1_rearranged,edge2_rearranged"
 
 
-class HarnessError(Exception):
+class HarnessError(ValueError):
     pass
 
 
@@ -108,52 +110,69 @@ def _worker_count() -> int:
     return max(1, min(cpus, MAX_WORKERS))
 
 
-def _chunk_means(cfg: McConfig, dims: int, c: int) -> dict[int, np.ndarray]:
-    """Row means of the first ``dims`` powers of chunk ``c``'s draws, drawn in
-    row blocks from one generator (the same numbers as one draw of the chunk).
-    Runs on a worker thread: numpy only, no Expr is built or evaluated here."""
-    rows = min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-    means = {i: np.empty(rows) for i in range(1, dims + 1)}
-    block = max(1, _BLOCK_BYTES // (8 * cfg.n))
-    for lo in range(0, rows, block):
-        w = _draw(cfg, rng, min(block, rows - lo))
-        for i, wp in enumerate(powers(w, dims), start=1):
+def power_means(draw, rows: int, step: int, d: int) -> dict[int, np.ndarray]:
+    """Row means of the first ``d`` powers of ``rows`` rows, where ``draw(lo, size)``
+    gives rows ``lo`` to ``lo + size`` and is called in order, ``step`` rows at a
+    time.  A row's means do not depend on how many rows share its block."""
+    means = {i: np.empty(rows) for i in range(1, d + 1)}
+    for lo in range(0, rows, step):
+        w = draw(lo, min(step, rows - lo))
+        for i, wp in enumerate(powers(w, d), start=1):
             wp.mean(axis=1, out=means[i][lo:lo + len(w)])
     return means
+
+
+def _chunk_means(cfg: McConfig, dims: int, c: int) -> dict[int, np.ndarray]:
+    """Power means of chunk ``c``'s draws, drawn in row blocks from one generator
+    (the same numbers as one draw of the chunk)."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
+    return power_means(lambda lo, size: _draw(cfg, rng, size),
+                       min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS),
+                       max(1, _BLOCK_BYTES // (8 * cfg.n)), dims)
+
+
+def replicate_values(expr, params, total: int, tasks: int, fill,
+                     scale: float = 1.0) -> tuple[np.ndarray, int]:
+    """The finite values of ``scale * expr`` over the power means ``fill(k)`` of
+    tasks ``k = 0 .. tasks - 1``, which hold ``total`` rows between them, and the
+    count of the others.  ``fill`` runs on worker threads and may only use numpy;
+    the calling thread evaluates ``expr`` in task order, so the values are the
+    same for any thread count."""
+    workers = _worker_count()
+    values = np.empty(total)
+    kept = 0
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        # at most `workers` tasks in flight; results are taken in task order
+        pending = deque(pool.submit(fill, k) for k in range(min(workers, tasks)))
+        for k in range(tasks):
+            means = pending.popleft().result()
+            if k + workers < tasks:
+                pending.append(pool.submit(fill, k + workers))
+            for lo in range(0, len(means[1]), _EVAL_ROWS):
+                part = {i: m[lo:lo + _EVAL_ROWS] for i, m in means.items()}
+                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                    vals = eval_numeric(expr, Bindings(dict(params), part))
+                vals = scale * np.asarray(vals, dtype=float)
+                keep = vals[np.isfinite(vals)]
+                values[kept:kept + keep.size] = keep
+                kept += keep.size
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return values[:kept], total - kept
 
 
 def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarray, int]:
     """All finite draws of the normalized statistic, and the excluded count."""
     if not model.is_numeric:
         raise HarnessError("simulation needs a numeric moment spec")
-    sqrt_n = math.sqrt(cfg.n) * cfg.statistic_scale
-    n_chunks = -(-cfg.reps // _CHUNK_ROWS)
-    workers = _worker_count()
-    values = np.empty(cfg.reps)
-    kept = 0
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        # at most `workers` chunks in flight; results are taken in chunk order
-        pending = deque(pool.submit(_chunk_means, cfg, model.dims, c)
-                        for c in range(min(workers, n_chunks)))
-        for c in range(n_chunks):
-            means = pending.popleft().result()
-            if c + workers < n_chunks:
-                pending.append(pool.submit(_chunk_means, cfg, model.dims, c + workers))
-            for lo in range(0, len(means[1]), _EVAL_ROWS):
-                part = {i: m[lo:lo + _EVAL_ROWS] for i, m in means.items()}
-                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                    vals = eval_numeric(model.a_expr, Bindings(dict(model.params), part))
-                vals = sqrt_n * np.asarray(vals, dtype=float)
-                keep = vals[np.isfinite(vals)]
-                values[kept:kept + keep.size] = keep
-                kept += keep.size
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    if kept == 0:
+    values, excluded = replicate_values(
+        model.a_expr, model.params, cfg.reps, -(-cfg.reps // _CHUNK_ROWS),
+        lambda c: _chunk_means(cfg, model.dims, c),
+        math.sqrt(cfg.n) * cfg.statistic_scale)
+    if values.size == 0:
         raise HarnessError("statistic undefined on every draw")
-    return values[:kept], cfg.reps - kept
+    return values, excluded
 
 
 def simulate_statistic_cdf(model: StatModel, cfg: McConfig) -> tuple[Curve, int]:

@@ -24,7 +24,6 @@ from edgeboot.bootstrap import (
     bca_from_replicates,
     bca_interval,
     resample_distribution,
-    statistic_evaluator,
 )
 from edgeboot.codegen import emit_assignments, reimport_check
 from edgeboot.edgeworth import (
@@ -365,9 +364,8 @@ def test_criterion_8_bca_enumeration_oracle():
     spec = exponential_spec(1.0, K=8)  # spec content irrelevant for the mean stat
     model = build_model(parse("x1"), Mode.NONSTUDENTIZED,
                         gaussian_spec(0.0, 1.0, 8))
-    stat = statistic_evaluator(model)
     cfg = BootConfig(B=27, seed=0, alpha=0.1, exhaustive=True)
-    reps, _ = resample_distribution([1.0, 2.0, 3.0], cfg, stat)
+    reps, _ = resample_distribution([1.0, 2.0, 3.0], cfg, model)
     a_hat = accel_plugin([1.0, 2.0, 3.0], model)
     assert a_hat == 0.0
     res = bca_from_replicates(2.0, reps, a_hat, 0.1)

@@ -163,6 +163,12 @@ class TestMc:
             main(["mc", "--stat", "mean", "--out", "x.csv"])
         assert exc.value.code == 2
 
+    def test_bad_grid_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "mc", "--stat", "mean", "--moments", "gaussian",
+                             "--grid", "1:0:1", "--seed", "1",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out, err) == (1, "", "error: bad grid spec '1:0:1'\n")
+
     def _mc_reps(self, capsys, tmp_path, reps):
         return run(capsys, "mc", "--stat", "mean", "--moments", "gaussian", "--n", "5",
                    "--reps", str(reps), "--grid", "-2:2:1", "--seed", "1",
@@ -235,6 +241,20 @@ class TestBca:
         assert out == ""
         assert f"{data}:4: not a number: 'abc'" in err
 
+
+    def test_one_row_is_one_error_line(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1.5\n")
+        code, out, err = run(capsys, "bca", "--data", str(data), "--stat", "mean",
+                             "--B", "99", "--seed", "5")
+        assert (code, out, err) == (1, "", "error: need at least two observations\n")
+
+    def test_constant_statistic_is_one_error_line(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0\n2.0\n4.0\n")
+        code, out, err = run(capsys, "bca", "--data", str(data), "--B", "99", "--seed", "5",
+                             "--stat", _config(tmp_path, statistic="g = 2\n"))
+        assert (code, out, err) == (1, "", "error: statistic must depend on at least x1\n")
 
     def test_cv_reads_only_data_and_statistic(self, capsys, tmp_path):
         # the moment section would need mu != 0; the interval never reads it
@@ -515,7 +535,15 @@ class TestConfigInput:
         code, out, err = run(capsys, "expand", "--stat", cfg)
         assert (code, out) == (1, "")
         assert err == ("error: unknown [run] key 'repz'; "
-                       "known keys: n, reps, grid, seed, b, alpha\n")
+                       "known keys: n, reps, grid, b, alpha\n")
+
+    def test_run_seed_is_an_unknown_key(self, capsys, tmp_path):
+        # mc and bca take their seed from --seed only
+        cfg = _config(tmp_path, run="seed = 7\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out) == (1, "")
+        assert err == ("error: unknown [run] key 'seed'; "
+                       "known keys: n, reps, grid, b, alpha\n")
 
     def test_repeated_run_key(self, capsys, tmp_path):
         cfg = _config(tmp_path, run="b = 99\nB = 199\n")

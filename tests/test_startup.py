@@ -20,7 +20,7 @@ SRC = Path(edgeboot.__file__).resolve().parents[1]
 LAZY_NAMES = {
     "rearrange": ("Curve", "clip01", "rearrange_increasing"),
     "bootstrap": ("BcaResult", "BootConfig", "accel_plugin", "bca_from_replicates",
-                  "bca_interval", "resample_distribution", "statistic_evaluator"),
+                  "bca_interval", "resample_distribution"),
     "harness": ("McConfig", "compare_and_emit", "parse_grid", "simulate_statistic_cdf"),
 }
 
