@@ -49,7 +49,7 @@ from .codegen import emit_assignments, reimport_check
 __version__ = "0.1.0"
 
 _LAZY = {
-    "rearrange": ("Curve", "clip01", "rearrange_increasing"),
+    "rearrange": ("clip01", "rearrange_increasing"),
     "bootstrap": (
         "BcaResult",
         "BootConfig",

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraError, Bindings
+from .algebra import AlgebraError
 from .codegen import CodegenError, emit_assignments
 from .config import (
     ConfigError,
@@ -139,10 +139,11 @@ def _build_model(args) -> tuple[StatModel, FullConfig]:
     moments_override: dict[str, str] = {}
     if args.moments:
         moments_override["distribution"] = args.moments
-    if args.mu is not None:
-        moments_override["mu"] = args.mu
-    if args.sigma is not None:
-        moments_override["sigma"] = args.sigma
+    for key in ("mu", "sigma", "scale"):  # mc alone has --scale
+        value = getattr(args, key, None)
+        if value is not None:
+            parse_number(value, f"--{key}")  # a bad value names its flag
+            moments_override[key] = value
     mode = Mode.parse(args.mode) if args.mode else None
     model = model_from_config(cfg, mode=mode,
                               moments_override=moments_override or None,
@@ -192,7 +193,7 @@ def _cmd_accel(args) -> int:
 def _cmd_cdf(args) -> int:
     model, _ = _build_model(args)
     _, p1, p2, _, _ = _polys(model)
-    value = cdf_eval(p1, p2, Bindings(), args.n, args.x, order=args.order)
+    value = cdf_eval(p1, p2, args.n, args.x, order=args.order)
     _print_report({"x": args.x, "n": args.n, "order": args.order, "cdf": value},
                   args.format)
     return 0
@@ -201,7 +202,7 @@ def _cmd_cdf(args) -> int:
 def _cmd_quantile(args) -> int:
     model, _ = _build_model(args)
     _, _, _, p11, p21 = _polys(model)
-    value = quantile_eval(p11, p21, Bindings(), args.n, args.alpha)
+    value = quantile_eval(p11, p21, args.n, args.alpha)
     _print_report({"alpha": args.alpha, "n": args.n, "quantile": value}, args.format)
     return 0
 
@@ -218,20 +219,22 @@ def _run_setting(args, cfg: FullConfig, name: str, limit: float | None = None):
 
 
 def _cmd_mc(args) -> int:
-    from .harness import MAX_REPS, McConfig
+    from .harness import MAX_REPS, McConfig, check_drawable
 
     model, cfg = _build_model(args)
+    # the draws come from the moment spec, checked before the expansion (which
+    # over symbolic moments can take seconds); --dist only checks it
+    check_drawable(model.spec)
+    if args.dist not in (None, model.spec.distribution):
+        raise ConfigError(f"--dist {args.dist} does not match the "
+                          f"{model.spec.distribution} moments mc draws from")
     _, p1, p2, _, _ = _polys(model)
     grid = parse_grid(_run_setting(args, cfg, "grid"))
     mc = McConfig(
-        distribution=args.dist,
         n=_run_setting(args, cfg, "n"),
         reps=_run_setting(args, cfg, "reps", MAX_REPS),
         grid=grid,
         seed=args.seed,
-        mu=parse_number(args.mu, "--mu") if args.mu is not None else 0.0,
-        sigma=parse_number(args.sigma, "--sigma") if args.sigma is not None else 1.0,
-        scale=args.scale,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         summary = compare_and_emit(model, mc, p1, p2, fh)
@@ -338,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo CDF comparison CSV")
     _stat_args(p, seed_required=True)
-    p.add_argument("--dist", choices=["gaussian", "exponential"], default="gaussian")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--dist", choices=["gaussian", "exponential"], default=None,
+                   help="check that the moments are of this distribution")
+    p.add_argument("--scale", default=None, help="override [moments] scale")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--grid", default=None, help="start:stop:step")

@@ -454,12 +454,10 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, x: float, bindings: Bindings | None = None) -> float:
+    def eval(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
-            cv = c if isinstance(c, float) else float(
-                eval_numeric(c, bindings or Bindings())
-            )
+            cv = c if isinstance(c, float) else float(eval_numeric(c, Bindings()))
             acc = acc * x + cv
         return acc
 
@@ -544,14 +542,7 @@ def accel_constant(model: StatModel) -> AccelResult:
 # CDF / quantile evaluation
 # ---------------------------------------------------------------------------
 
-def cdf_eval(
-    p1: Poly,
-    p2: Poly,
-    bindings: Bindings | None,
-    n: int,
-    x: float,
-    order: int = 2,
-) -> float:
+def cdf_eval(p1: Poly, p2: Poly, n: int, x: float, order: int = 2) -> float:
     """Phi(x) + n^{-1/2} p1(x) phi(x) + n^{-1} p2(x) phi(x), truncated at
     ``order``.  Raw value: not clipped or monotonized."""
     if n < 2:
@@ -560,23 +551,17 @@ def cdf_eval(
         raise ModelError("order must be 0, 1 or 2")
     out = norm_cdf(float(x))
     if order >= 1:
-        out += p1.eval(x, bindings) * norm_pdf(float(x)) / math.sqrt(n)
+        out += p1.eval(x) * norm_pdf(float(x)) / math.sqrt(n)
     if order >= 2:
-        out += p2.eval(x, bindings) * norm_pdf(float(x)) / n
+        out += p2.eval(x) * norm_pdf(float(x)) / n
     return float(out)
 
 
-def quantile_eval(
-    p11: Poly,
-    p21: Poly,
-    bindings: Bindings | None,
-    n: int,
-    alpha: float,
-) -> float:
+def quantile_eval(p11: Poly, p21: Poly, n: int, alpha: float) -> float:
     """Cornish-Fisher quantile w_alpha = z + n^{-1/2} p11(z) + n^{-1} p21(z)."""
     if not 0.0 < alpha < 1.0:
         raise ModelError("alpha must lie in (0, 1)")
     if n < 2:
         raise ModelError("n must be >= 2")
     z = norm_ppf(alpha)
-    return z + p11.eval(z, bindings) / math.sqrt(n) + p21.eval(z, bindings) / n
+    return z + p11.eval(z) / math.sqrt(n) + p21.eval(z) / n

@@ -1,11 +1,12 @@
 """Monte Carlo validation of the expansion-based CDF approximations.
 
-Simulates the normalized statistic sqrt(n) * A(power means) under a
-distribution preset, compares its empirical CDF on a grid against the
-normal, first-order and second-order approximations, and emits one CSV row
-per grid point plus a trailing summary block of sup-distances (as
-``#``-prefixed lines).  Raw and rearranged approximation columns are both
-written; the rearranged ones are clipped to [0,1] and sorted.
+Simulates the normalized statistic sqrt(n) * A(power means) under the
+distribution of the model's moment spec (gaussian or exponential), compares
+its empirical CDF on a grid against the normal, first-order and second-order
+approximations, and emits one CSV row per grid point plus a trailing summary
+block of sup-distances (as ``#``-prefixed lines).  Raw and rearranged
+approximation columns are both written; the rearranged ones are clipped to
+[0,1] and sorted.
 
 Replications are drawn in fixed chunks from substreams seeded by
 ``(seed, chunk)``.  :func:`replicate_values` is the replicate engine of both
@@ -29,8 +30,8 @@ import numpy as np
 
 from .algebra import Bindings, eval_numeric, norm_cdf
 from .edgeworth import Poly, StatModel, cdf_eval
-from .moments import powers
-from .rearrange import Curve, clip01, is_nondecreasing, rearrange_increasing
+from .moments import MomentSpec, powers
+from .rearrange import clip01, is_nondecreasing, rearrange_increasing
 
 _CHUNK_ROWS = 65536
 _BLOCK_BYTES = 2**19  # of draws per row block; a chunk's means are its only full-size arrays
@@ -49,14 +50,10 @@ class HarnessError(ValueError):
 
 @dataclass(frozen=True)
 class McConfig:
-    distribution: str  # "gaussian" | "exponential"
     n: int
     reps: int
     grid: tuple[float, ...]
     seed: int
-    mu: float = 0.0
-    sigma: float = 1.0
-    scale: float = 1.0  # exponential scale parameter
     statistic_scale: float = 1.0  # e.g. sqrt((n-1)/n) to match an s_c-based statistic
 
     def __post_init__(self):
@@ -67,13 +64,13 @@ class McConfig:
         if self.n < 2:
             raise HarnessError("n must be >= 2")
         _check_grid_size(len(self.grid), "grid")
-        g = np.asarray(self.grid)
-        if g.size < 2 or not np.all(np.diff(g) > 0):
+        if not np.all(np.diff(self.grid) > 0):
             raise HarnessError("grid must be strictly increasing")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse "start:stop:step" into an inclusive uniform grid."""
+    """Parse "start:stop:step" into the points ``start + k*step`` up to ``stop``
+    (inclusive, up to rounding)."""
     try:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -81,24 +78,32 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise HarnessError(f"bad grid spec {text!r}: want start:stop:step") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop <= start:
         raise HarnessError(f"bad grid spec {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1
     _check_grid_size(count, f"grid {text!r}")
     return tuple(start + k * step for k in range(count))
 
 
 def _check_grid_size(count: int, what: str) -> None:
+    if count < 2:
+        raise HarnessError(f"{what} needs at least two points")
     if count > MAX_GRID_POINTS:
         raise HarnessError(
             f"{what} has {count} points, more than the limit of {MAX_GRID_POINTS}"
         )
 
 
-def _draw(cfg: McConfig, rng: np.random.Generator, rows: int) -> np.ndarray:
-    if cfg.distribution == "gaussian":
-        return rng.normal(cfg.mu, cfg.sigma, size=(rows, cfg.n))
-    if cfg.distribution == "exponential":
-        return rng.exponential(cfg.scale, size=(rows, cfg.n))
-    raise HarnessError(f"unknown distribution {cfg.distribution!r}")
+def check_drawable(spec: MomentSpec) -> None:
+    """Raise unless ``spec`` is a numeric gaussian or exponential spec, the
+    distributions ``mc`` draws from."""
+    kind = "symbolic" if spec.is_symbolic else spec.distribution
+    if kind not in ("gaussian", "exponential"):
+        raise HarnessError(f"mc draws from gaussian or exponential moments, not {kind} ones")
+
+
+def _draw(spec: MomentSpec, rng: np.random.Generator, shape) -> np.ndarray:
+    if spec.distribution == "gaussian":
+        return rng.normal(spec.mean, spec.scale, size=shape)
+    return rng.exponential(spec.scale, size=shape)
 
 
 def _worker_count() -> int:
@@ -122,11 +127,11 @@ def power_means(draw, rows: int, step: int, d: int) -> dict[int, np.ndarray]:
     return means
 
 
-def _chunk_means(cfg: McConfig, dims: int, c: int) -> dict[int, np.ndarray]:
-    """Power means of chunk ``c``'s draws, drawn in row blocks from one generator
-    (the same numbers as one draw of the chunk)."""
+def _chunk_means(cfg: McConfig, spec: MomentSpec, dims: int, c: int) -> dict[int, np.ndarray]:
+    """Power means of chunk ``c``'s draws from ``spec``, drawn in row blocks from
+    one generator (the same numbers as one draw of the chunk)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-    return power_means(lambda lo, size: _draw(cfg, rng, size),
+    return power_means(lambda lo, size: _draw(spec, rng, (size, cfg.n)),
                        min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS),
                        max(1, _BLOCK_BYTES // (8 * cfg.n)), dims)
 
@@ -164,24 +169,23 @@ def replicate_values(expr, params, total: int, tasks: int, fill,
 
 def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarray, int]:
     """All finite draws of the normalized statistic, and the excluded count."""
-    if not model.is_numeric:
-        raise HarnessError("simulation needs a numeric moment spec")
+    check_drawable(model.spec)
     values, excluded = replicate_values(
         model.a_expr, model.params, cfg.reps, -(-cfg.reps // _CHUNK_ROWS),
-        lambda c: _chunk_means(cfg, model.dims, c),
+        lambda c: _chunk_means(cfg, model.spec, model.dims, c),
         math.sqrt(cfg.n) * cfg.statistic_scale)
     if values.size == 0:
         raise HarnessError("statistic undefined on every draw")
     return values, excluded
 
 
-def simulate_statistic_cdf(model: StatModel, cfg: McConfig) -> tuple[Curve, int]:
-    """Empirical CDF of the normalized statistic on the configured grid."""
+def simulate_statistic_cdf(model: StatModel, cfg: McConfig) -> tuple[np.ndarray, int]:
+    """Empirical CDF of the normalized statistic at the configured grid points,
+    and the excluded count."""
     values, excluded = simulate_statistic_values(model, cfg)
     values.sort()
-    grid = np.asarray(cfg.grid)
-    ecdf = np.searchsorted(values, grid, side="right") / values.size
-    return Curve.make(cfg.grid, ecdf), excluded
+    ecdf = np.searchsorted(values, np.asarray(cfg.grid), side="right") / values.size
+    return ecdf, excluded
 
 
 @dataclass
@@ -196,24 +200,16 @@ class ComparisonSummary:
     excluded: int
 
 
-def compare_and_emit(
-    model: StatModel,
-    cfg: McConfig,
-    p1: Poly,
-    p2: Poly,
-    out: TextIO,
-    bindings: Bindings | None = None,
-) -> ComparisonSummary:
+def compare_and_emit(model: StatModel, cfg: McConfig, p1: Poly, p2: Poly,
+                     out: TextIO) -> ComparisonSummary:
     """Write the comparison CSV and return the sup-distance summary."""
-    empirical, excluded = simulate_statistic_cdf(model, cfg)
+    emp, excluded = simulate_statistic_cdf(model, cfg)
     grid = list(cfg.grid)
     normal = [float(norm_cdf(float(x))) for x in grid]
-    edge1 = [cdf_eval(p1, p2, bindings, cfg.n, float(x), order=1) for x in grid]
-    edge2 = [cdf_eval(p1, p2, bindings, cfg.n, float(x), order=2) for x in grid]
-    edge1_r = rearrange_increasing(clip01(Curve.make(grid, edge1))).values
-    edge2_r = rearrange_increasing(clip01(Curve.make(grid, edge2))).values
-
-    emp = np.asarray(empirical.values)
+    edge1 = [cdf_eval(p1, p2, cfg.n, float(x), order=1) for x in grid]
+    edge2 = [cdf_eval(p1, p2, cfg.n, float(x), order=2) for x in grid]
+    edge1_r = rearrange_increasing(clip01(edge1))
+    edge2_r = rearrange_increasing(clip01(edge2))
 
     def sup(col) -> float:
         return float(np.max(np.abs(np.asarray(col) - emp)))

@@ -42,12 +42,15 @@ class MomentSpec:
     """Univariate distribution moment model.
 
     ``std_moments[k]`` holds m[k] for k = 0..K with m[0]=1, m[1]=0, m[2]=1.
+    ``distribution`` names the family in ``[moments]``'s words: gaussian,
+    exponential, symbolic, empirical or custom.
     """
 
     mean: Value
     scale: Value
     std_moments: tuple[Value, ...]
     K: int
+    distribution: str = "custom"
 
     def __post_init__(self):
         if self.K < 2 or len(self.std_moments) != self.K + 1:
@@ -75,7 +78,7 @@ def symbolic_spec(K: int) -> MomentSpec:
         ms.append(add(sym("kappa1"), const(3)))
     for k in range(5, K + 1):
         ms.append(sym(f"mu{k}"))
-    return MomentSpec(sym("mu"), sym("sigma"), tuple(ms[: K + 1]), K)
+    return MomentSpec(sym("mu"), sym("sigma"), tuple(ms[: K + 1]), K, "symbolic")
 
 
 def _double_factorial(k: int) -> int:
@@ -90,12 +93,14 @@ def gaussian_spec(mu: Value = 0.0, sigma: Value = 1.0, K: int = 8) -> MomentSpec
     """Gaussian standardized moments: 0 for odd k, (k-1)!! for even k."""
     if K > 64:
         raise MomentError("gaussian spec capped at K=64")
+    if not isinstance(sigma, Expr) and sigma <= 0:
+        raise MomentError("gaussian sigma must be positive")
     symbolic = isinstance(mu, Expr) or isinstance(sigma, Expr)
     ms: list[Value] = []
     for k in range(K + 1):
         v = 0 if k % 2 else _double_factorial(k - 1)
         ms.append(const(v) if symbolic else float(v))
-    return MomentSpec(mu, sigma, tuple(ms), K)
+    return MomentSpec(mu, sigma, tuple(ms), K, "gaussian")
 
 
 def _subfactorial(k: int) -> int:
@@ -115,7 +120,7 @@ def exponential_spec(scale: float = 1.0, K: int = 8) -> MomentSpec:
     if scale <= 0:
         raise MomentError("exponential scale must be positive")
     ms = tuple(float(_subfactorial(k)) for k in range(K + 1))
-    return MomentSpec(float(scale), float(scale), ms, K)
+    return MomentSpec(float(scale), float(scale), ms, K, "exponential")
 
 
 def empirical_spec(sample: Sequence[float], K: int) -> MomentSpec:
@@ -138,7 +143,7 @@ def empirical_spec(sample: Sequence[float], K: int) -> MomentSpec:
     for k in range(3, K + 1):
         zp = zp * z
         ms.append(float(zp.mean()))
-    return MomentSpec(mean, sd, tuple(ms[: K + 1]), K)
+    return MomentSpec(mean, sd, tuple(ms[: K + 1]), K, "empirical")
 
 
 # ---------------------------------------------------------------------------

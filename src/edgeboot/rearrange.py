@@ -1,45 +1,23 @@
-"""Monotone increasing rearrangement and [0,1] clipping of CDF curves.
+"""Monotone increasing rearrangement and [0,1] clipping of CDF values.
 
 Expansion-based CDF approximations can dip outside [0,1] or decrease; the
 discrete increasing rearrangement (sorting the values on the grid) is the
-standard repair and never worsens the fit to a monotone target.
+standard repair and never worsens the fit to a monotone target.  Each
+function takes the values of a curve on its grid, in grid order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-class CurveError(Exception):
-    pass
+def rearrange_increasing(values) -> tuple[float, ...]:
+    """The values in ascending order (on the same grid)."""
+    return tuple(sorted(values))
 
 
-@dataclass(frozen=True)
-class Curve:
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise CurveError("grid and values must have equal length")
-        g = np.asarray(self.grid)
-        if len(self.grid) > 1 and not np.all(np.diff(g) > 0):
-            raise CurveError("grid must be strictly increasing")
-
-    @staticmethod
-    def make(grid, values) -> "Curve":
-        return Curve(tuple(float(x) for x in grid), tuple(float(v) for v in values))
-
-
-def rearrange_increasing(c: Curve) -> Curve:
-    """Replace the values by their ascending sort (same grid)."""
-    return Curve(c.grid, tuple(sorted(c.values)))
-
-
-def clip01(c: Curve) -> Curve:
-    return Curve(c.grid, tuple(min(1.0, max(0.0, v)) for v in c.values))
+def clip01(values) -> tuple[float, ...]:
+    return tuple(min(1.0, max(0.0, v)) for v in values)
 
 
 def is_nondecreasing(values) -> bool:

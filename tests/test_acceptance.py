@@ -132,7 +132,7 @@ def test_criterion_2_t_distribution_adjustment():
 
     n = 10
     worst = max(
-        abs(cdf_eval(q1t, q2t, None, n, x, 2) - t_cdf(x, n - 1))
+        abs(cdf_eval(q1t, q2t, n, x, 2) - t_cdf(x, n - 1))
         for x in np.arange(-3.0, 3.0001, 0.1)
     )
     assert worst < 0.004
@@ -342,7 +342,7 @@ def test_criterion_7_figures_ordering(tmp_path):
     grid = parse_grid("-3:3:0.01")
     lines = []
     for n in (10, 15):
-        cfg = McConfig("gaussian", n=n, reps=100000, grid=grid, seed=20240717)
+        cfg = McConfig(n=n, reps=100000, grid=grid, seed=20240717)
         out = io.StringIO()
         s = compare_and_emit(model, cfg, p1, p2, out)
         (tmp_path / f"ml_plain_n{n}.csv").write_text(out.getvalue())

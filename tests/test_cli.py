@@ -153,6 +153,12 @@ class TestMc:
             csvs.append(out_file.read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_negative_sigma_is_an_error(self, capsys):
+        # it once printed the results of sigma = 2
+        code, out, err = run(capsys, "expand", "--stat", "variance", "--moments", "gaussian",
+                             "--sigma", "-2")
+        assert (code, out, err) == (1, "", "error: gaussian sigma must be positive\n")
+
     def test_bad_mu_names_its_flag(self, capsys, tmp_path):
         code, out, err = run(capsys, "mc", "--stat", "mean", "--moments", "symbolic",
                              "--mu", "1/x", "--seed", "1", "--out", str(tmp_path / "x.csv"))
@@ -206,6 +212,66 @@ class TestMc:
             csvs.append(out_file.read_bytes())
         assert csvs[0] == csvs[1]
         assert len(csvs[0].decode().splitlines()) == 1 + 5 + 6  # header, grid, summary
+
+    def _mc_report(self, capsys, tmp_path, stat, *flags):
+        code, out, err = run(capsys, "mc", "--stat", stat, "--n", "10", "--reps", "20000",
+                             "--grid", "-3:3:0.1", "--seed", "2", "--format", "json",
+                             "--out", str(tmp_path / "x.csv"), *flags)
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    def test_config_moments_set_the_draws(self, capsys, tmp_path):
+        # the sample mean of N(3, 4) draws, normalized by the spec's mu and
+        # sigma, is exactly normal
+        cfg = _config(tmp_path, moments="distribution = gaussian\nmu = 3\nsigma = 2\n")
+        report = self._mc_report(capsys, tmp_path, cfg)
+        assert report["sup_dist_normal"] < 0.05
+
+    def test_scale_overrides_the_moments_and_the_draws(self, capsys, tmp_path, monkeypatch):
+        scales = set()
+        draw = harness._draw
+
+        def spy(spec, rng, shape):
+            scales.add(spec.scale)
+            return draw(spec, rng, shape)
+
+        monkeypatch.setattr(harness, "_draw", spy)
+        report = self._mc_report(capsys, tmp_path, "mean", "--moments", "exponential",
+                                 "--scale", "2")
+        assert scales == {2.0}
+        assert report["sup_dist_edge2"] < 0.05
+
+    def _mc_error(self, capsys, tmp_path, stat, *flags):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "mc", "--stat", stat, "--n", "5", "--reps", "100",
+                             "--grid", "-1:1:1", "--seed", "1", "--out", str(out_file),
+                             *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+        return err
+
+    def test_dist_that_disagrees_is_an_error(self, capsys, tmp_path):
+        err = self._mc_error(capsys, tmp_path, "mean", "--moments", "gaussian",
+                             "--dist", "exponential")
+        assert err == ("error: --dist exponential does not match the gaussian "
+                       "moments mc draws from\n")
+
+    @pytest.mark.parametrize("kind", ["symbolic", "custom", "empirical"])
+    def test_moments_mc_cannot_draw_from(self, capsys, tmp_path, kind):
+        data = tmp_path / "data.csv"
+        data.write_text("0.3\n-1.2\n2.0\n0.7\n")
+        cfg = _config(tmp_path, moments=f"distribution = {kind}\ndata_file = {data}\n")
+        for dist in ((), ("--dist", "gaussian")):
+            err = self._mc_error(capsys, tmp_path, cfg, *dist)
+            assert err == (f"error: mc draws from gaussian or exponential moments, "
+                           f"not {kind} ones\n")
+
+    @pytest.mark.parametrize("sigma", ["-1", "0"])
+    def test_nonpositive_sigma_is_an_error(self, capsys, tmp_path, sigma):
+        err = self._mc_error(capsys, tmp_path, "mean", "--moments", "gaussian",
+                             "--sigma", sigma)
+        assert err == "error: gaussian sigma must be positive\n"
 
 
 class TestBca:
@@ -343,6 +409,22 @@ class TestPinnedOutput:
         assert len(data) == 15821
         assert hashlib.sha256(data).hexdigest() == (
             "399010bacf44154a2597759491a443a4bb963268a91d74077140467d8d672fa4")
+
+    # draws from a spec that --dist agreed with did not move when they came to
+    # be taken from the spec (recorded before: the exponential case then also
+    # needed --dist exponential); 70,000 reps span two chunks
+    @pytest.mark.parametrize("stat, moments, digest", [
+        ("mean", "gaussian", "8ab121169359a547672d217d5f4648a458d93d9c97c5177049ce7be85c11d60a"),
+        ("ml_symmetric", "exponential",
+         "ba03aa2d9e0ed89b998139b1284ce0cb8f57932865de4e48e3fa33a1ae4c64c8"),
+    ])
+    def test_mc_csv_from_the_moments(self, capsys, tmp_path, stat, moments, digest):
+        out_file = tmp_path / "mc.csv"
+        code, _, err = run(capsys, "mc", "--stat", stat, "--mode", "studentized",
+                           "--moments", moments, "--n", "10", "--reps", "70000",
+                           "--grid", "-3:3:0.5", "--seed", "5", "--out", str(out_file))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
     def test_bca_json(self, capsys, tmp_path):
         data = tmp_path / "data.csv"

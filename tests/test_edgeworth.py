@@ -430,7 +430,7 @@ class TestExactDistributions:
             exact = float(gammainc(n, n * (1.0 + x / math.sqrt(n))))
             for order in sup:
                 sup[order] = max(sup[order],
-                                 abs(cdf_eval(p1, p2, None, n, float(x), order) - exact))
+                                 abs(cdf_eval(p1, p2, n, float(x), order) - exact))
         assert sup[2] < sup[1] < sup[0]
         assert sup[2] < 4e-4 and sup[1] < 3e-3
 
@@ -447,7 +447,7 @@ class TestExactDistributions:
         worst_cf = worst_normal = 0.0
         for alpha in (0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975):
             exact = math.sqrt(n) * (float(gammaincinv(n, alpha)) / n - 1.0)
-            cf = quantile_eval(p11, p21, None, n, alpha)
+            cf = quantile_eval(p11, p21, n, alpha)
             worst_cf = max(worst_cf, abs(cf - exact))
             worst_normal = max(worst_normal, abs(float(ndtri(alpha)) - exact))
         assert worst_cf < 2e-3
@@ -467,7 +467,7 @@ class TestExactDistributions:
             exact = float(gammainc((n - 1) / 2.0, (n + math.sqrt(2.0 * n) * x) / 2.0))
             for order in sup:
                 sup[order] = max(sup[order],
-                                 abs(cdf_eval(p1, p2, None, n, float(x), order) - exact))
+                                 abs(cdf_eval(p1, p2, n, float(x), order) - exact))
         assert sup[2] < sup[1] < sup[0]
         assert sup[2] < 2e-3 and sup[1] < 8e-3
 
@@ -475,26 +475,26 @@ class TestExactDistributions:
 class TestCdfQuantile:
     def test_symmetric_case(self, studentized_gaussian_mean):
         p1, p2, _, _ = studentized_gaussian_mean
-        assert abs(cdf_eval(p1, p2, None, 10, 0.0, 2) - 0.5) < 1e-15
+        assert abs(cdf_eval(p1, p2, 10, 0.0, 2) - 0.5) < 1e-15
 
     def test_second_order_value(self, studentized_gaussian_mean):
         # p2s(1) = -1 for Gaussian data, so F(1) = Phi(1) - phi(1)/10
         p1, p2, _, _ = studentized_gaussian_mean
-        assert abs(cdf_eval(p1, p2, None, 10, 1.0, 2) - 0.8171476736166286) < 1e-12
+        assert abs(cdf_eval(p1, p2, 10, 1.0, 2) - 0.8171476736166286) < 1e-12
 
     def test_order_zero_is_normal_quantile(self, studentized_gaussian_mean):
         p1, p2, _, _ = studentized_gaussian_mean
-        assert abs(cdf_eval(p1, p2, None, 10, 1.959964, 0) - 0.975) < 1e-6
+        assert abs(cdf_eval(p1, p2, 10, 1.959964, 0) - 0.975) < 1e-6
 
     def test_median_quantile(self, studentized_gaussian_mean):
         _, _, p11, p21 = studentized_gaussian_mean
-        assert abs(quantile_eval(p11, p21, None, 10, 0.5)) < 1e-15
+        assert abs(quantile_eval(p11, p21, 10, 0.5)) < 1e-15
 
     def test_upper_quantile(self, studentized_gaussian_mean):
         _, _, p11, p21 = studentized_gaussian_mean
         z = float(ndtri(0.975))
         expected = z + (z**3 / 4 + 3 * z / 4) / 10
-        got = quantile_eval(p11, p21, None, 10, 0.975)
+        got = quantile_eval(p11, p21, 10, 0.975)
         assert abs(got - expected) < 1e-12
         assert abs(got - 2.295186) < 1e-4  # agrees with the coarse published digits
 
@@ -512,7 +512,7 @@ class TestCdfQuantile:
                 + (4 + 2 * z**2) / (6 * math.sqrt(2 * n))
                 + z * (10 - 4 * z**2) / (36 * n)
             )
-            assert abs(quantile_eval(p11, p21, None, n, alpha) - expected) < 1e-8
+            assert abs(quantile_eval(p11, p21, n, alpha) - expected) < 1e-8
 
     def test_raw_values_are_not_clipped(self):
         # skewed small-n expansions leave [0,1]; clipping is the caller's job
@@ -520,14 +520,14 @@ class TestCdfQuantile:
 
         m = build_model(parse("x1"), Mode.NONSTUDENTIZED, exponential_spec(1.0, 8))
         p1, p2 = edgeworth_polys(cumulant_coeffs(m))
-        assert cdf_eval(p1, p2, None, 4, -2.0, 2) < 0.0
+        assert cdf_eval(p1, p2, 4, -2.0, 2) < 0.0
 
     def test_bad_arguments(self, studentized_gaussian_mean):
         p1, p2, p11, p21 = studentized_gaussian_mean
         with pytest.raises(ModelError):
-            cdf_eval(p1, p2, None, 1, 0.0, 2)
+            cdf_eval(p1, p2, 1, 0.0, 2)
         with pytest.raises(ModelError):
-            quantile_eval(p11, p21, None, 10, 1.5)
+            quantile_eval(p11, p21, 10, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_edgeworth_error_order(polys, exact, edge2_max):
     for n in NS:
         want = exact(GRID, n)
         for order in (1, 2):
-            got = np.array([cdf_eval(p1, p2, None, n, float(x), order) for x in GRID])
+            got = np.array([cdf_eval(p1, p2, n, float(x), order) for x in GRID])
             sups[order].append(float(np.max(np.abs(got - want))))
     edge1, edge2 = _slope(sups[1]), _slope(sups[2])
     # edge1 is first order only (slopes -1.02 to -1.13): the n range tells
@@ -119,6 +119,6 @@ def test_cornish_fisher_error_order():
     errors = []
     for n in NS:
         errors.append(max(
-            abs(quantile_eval(p11, p21, None, n, a) - (gammaincinv(n, a) - n) / math.sqrt(n))
+            abs(quantile_eval(p11, p21, n, a) - (gammaincinv(n, a) - n) / math.sqrt(n))
             for a in ALPHAS))
     assert _slope(errors) < -1.4, errors

@@ -24,7 +24,7 @@ from edgeboot.harness import (
     simulate_statistic_cdf,
     simulate_statistic_values,
 )
-from edgeboot.moments import exponential_spec, gaussian_spec, powers
+from edgeboot.moments import MomentSpec, empirical_spec, exponential_spec, gaussian_spec, powers
 from edgeboot.rearrange import is_nondecreasing
 
 
@@ -37,6 +37,22 @@ class TestParseGrid:
     def test_inclusive_endpoints(self):
         g = parse_grid("-4:4:0.02")
         assert len(g) == 401 and g[0] == -4.0 and abs(g[-1] - 4.0) < 1e-12
+
+    @pytest.mark.parametrize("spec, count, start, step", [
+        ("-3:3:0.01", 601, -3.0, 0.01), ("-4:4:0.02", 401, -4.0, 0.02)])
+    def test_uniform_grids_keep_their_points(self, spec, count, start, step):
+        assert parse_grid(spec) == tuple(start + k * step for k in range(count))
+
+    @pytest.mark.parametrize("spec, last", [("0:1:0.6", 0.6), ("-1:1:0.3", 0.8),
+                                            ("0:1:0.3", 0.9)])
+    def test_grid_never_passes_stop(self, spec, last):
+        g = parse_grid(spec)
+        assert g[-1] <= float(spec.split(":")[1])
+        assert abs(g[-1] - last) < 1e-12
+
+    def test_one_point_grid(self):
+        with pytest.raises(HarnessError, match="needs at least two points"):
+            parse_grid("0:0.4:1")
 
     def test_bad_specs(self):
         for bad in ("1:2", "2:1:0.1", "0:1:-1", "a:b:c", "0:inf:1", "nan:1:0.1"):
@@ -68,7 +84,7 @@ class TestGridLimit:
     def test_mc_config_rejects(self):
         grid = tuple(float(k) for k in range(MAX_GRID_POINTS + 1))
         with pytest.raises(HarnessError, match="100001 points"):
-            McConfig("gaussian", n=10, reps=10, grid=grid, seed=1)
+            McConfig(n=10, reps=10, grid=grid, seed=1)
 
     def test_cli_mc_rejects(self, no_large_range, capsys, tmp_path):
         out_file = tmp_path / "fig.csv"
@@ -83,36 +99,33 @@ class TestGridLimit:
 
 class TestSimulate:
     def test_symmetry_at_zero(self, plain_mean_model):
-        cfg = McConfig("gaussian", n=12, reps=40000, grid=parse_grid("-3:3:0.5"),
-                       seed=4242)
-        curve, excluded = simulate_statistic_cdf(plain_mean_model, cfg)
-        at_zero = curve.values[curve.grid.index(0.0)]
+        cfg = McConfig(n=12, reps=40000, grid=parse_grid("-3:3:0.5"), seed=4242)
+        ecdf, excluded = simulate_statistic_cdf(plain_mean_model, cfg)
+        at_zero = ecdf[cfg.grid.index(0.0)]
         assert excluded == 0
         assert abs(at_zero - 0.5) <= 3.0 * math.sqrt(0.25 / cfg.reps)
 
     def test_empirical_cdf_is_valid(self, plain_mean_model):
-        cfg = McConfig("gaussian", n=10, reps=5000, grid=parse_grid("-3:3:0.1"),
-                       seed=7)
-        curve, _ = simulate_statistic_cdf(plain_mean_model, cfg)
-        vals = np.asarray(curve.values)
+        cfg = McConfig(n=10, reps=5000, grid=parse_grid("-3:3:0.1"), seed=7)
+        vals, _ = simulate_statistic_cdf(plain_mean_model, cfg)
+        assert vals.shape == (len(cfg.grid),)
         assert is_nondecreasing(vals)
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
     def test_seed_determinism(self, plain_mean_model):
-        cfg = McConfig("gaussian", n=10, reps=3000, grid=parse_grid("-2:2:0.5"),
-                       seed=99)
+        cfg = McConfig(n=10, reps=3000, grid=parse_grid("-2:2:0.5"), seed=99)
         a, _ = simulate_statistic_cdf(plain_mean_model, cfg)
         b, _ = simulate_statistic_cdf(plain_mean_model, cfg)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_studentized_mean_matches_t9(self):
         # sqrt(n)(mean - mu)/sigma_hat rescaled by sqrt((n-1)/n) is exactly
         # t_{n-1} for Gaussian data
         n = 10
         model = build_model(parse("x1"), Mode.STUDENTIZED, gaussian_spec(0.0, 1.0, 8))
-        cfg = McConfig("gaussian", n=n, reps=200000, grid=parse_grid("-3:3:0.25"),
+        cfg = McConfig(n=n, reps=200000, grid=parse_grid("-3:3:0.25"),
                        seed=1234, statistic_scale=math.sqrt((n - 1) / n))
-        curve, _ = simulate_statistic_cdf(model, cfg)
+        ecdf, _ = simulate_statistic_cdf(model, cfg)
 
         def t_cdf(x, nu):
             if x == 0:
@@ -120,7 +133,7 @@ class TestSimulate:
             p = 0.5 * betainc(nu / 2.0, 0.5, nu / (nu + x * x))
             return p if x < 0 else 1.0 - p
 
-        worst = max(abs(v - t_cdf(x, n - 1)) for x, v in zip(curve.grid, curve.values))
+        worst = max(abs(v - t_cdf(x, n - 1)) for x, v in zip(cfg.grid, ecdf))
         assert worst < 0.01
 
     def test_undefined_draws_are_counted_not_imputed(self):
@@ -131,8 +144,7 @@ class TestSimulate:
         reg = KernelRegistry([Var(1)])
         model = build_model(parse("sqrt(x1)", reg), Mode.NONSTUDENTIZED,
                             gaussian_spec(0.5, 1.0, 8), kernels=reg)
-        cfg = McConfig("gaussian", n=4, mu=0.5, reps=20000,
-                       grid=parse_grid("-3:3:0.5"), seed=11)
+        cfg = McConfig(n=4, reps=20000, grid=parse_grid("-3:3:0.5"), seed=11)
         values, excluded = simulate_statistic_values(model, cfg)
         assert excluded > 0
         assert values.size + excluded == cfg.reps
@@ -142,8 +154,7 @@ class TestSimulate:
         # skewness of sqrt(n)(mean - mu)/sigma is exactly Gamma1/sqrt(n)
         n, reps = 50, 100000
         model = build_model(parse("x1"), Mode.NONSTUDENTIZED, exponential_spec(1.0, 8))
-        cfg = McConfig("exponential", n=n, reps=reps, grid=parse_grid("-3:3:1"),
-                       seed=31415)
+        cfg = McConfig(n=n, reps=reps, grid=parse_grid("-3:3:1"), seed=31415)
         values, excluded = simulate_statistic_values(model, cfg)
         assert excluded == 0
         batches = np.array_split(values, 10)
@@ -163,8 +174,7 @@ class TestCompareAndEmit:
     def _emit(self, seed=2024):
         model = build_model(parse("x1"), Mode.NONSTUDENTIZED, gaussian_spec(0.0, 1.0, 8))
         p1, p2 = edgeworth_polys(cumulant_coeffs(model))
-        cfg = McConfig("gaussian", n=10, reps=20000, grid=parse_grid("-3:3:0.05"),
-                       seed=seed)
+        cfg = McConfig(n=10, reps=20000, grid=parse_grid("-3:3:0.05"), seed=seed)
         buf = io.StringIO()
         summary = compare_and_emit(model, cfg, p1, p2, buf)
         return buf.getvalue(), summary
@@ -196,31 +206,43 @@ class TestCompareAndEmit:
 
     def test_reps_spanning_multiple_chunks_deterministic(self):
         model = build_model(parse("x1"), Mode.NONSTUDENTIZED, gaussian_spec(0.0, 1.0, 8))
-        cfg = McConfig("gaussian", n=5, reps=70000, grid=parse_grid("-2:2:1"), seed=3)
+        cfg = McConfig(n=5, reps=70000, grid=parse_grid("-2:2:1"), seed=3)
         a, _ = simulate_statistic_cdf(model, cfg)
         b, _ = simulate_statistic_cdf(model, cfg)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
 
 class TestValidation:
-    def test_unknown_distribution(self, plain_mean_model):
-        cfg = McConfig("uniform", n=10, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
-        with pytest.raises(HarnessError):
-            simulate_statistic_cdf(plain_mean_model, cfg)
+    @pytest.mark.parametrize("kind, spec", [
+        ("custom", MomentSpec(0.0, 1.0, (1.0, 0.0, 1.0, 0.0, 3.0), 4)),
+        ("empirical", empirical_spec([0.3, -1.2, 2.0, 0.7, -0.1], 4)),
+    ])
+    def test_moments_without_a_sampler(self, kind, spec):
+        # the draws come from the spec: moments alone name no distribution
+        model = build_model(parse("x1"), Mode.NONSTUDENTIZED, spec)
+        cfg = McConfig(n=10, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
+        with pytest.raises(HarnessError, match=f"not {kind} ones"):
+            simulate_statistic_cdf(model, cfg)
 
     def test_symbolic_model_rejected(self):
+        from edgeboot.expr import sym
         from edgeboot.moments import symbolic_spec
 
-        model = build_model(parse("x1"), Mode.NONSTUDENTIZED, symbolic_spec(8))
-        cfg = McConfig("gaussian", n=10, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
-        with pytest.raises(HarnessError):
-            simulate_statistic_cdf(model, cfg)
+        for spec in (symbolic_spec(8), gaussian_spec(sym("mu"), 1.0, 8)):
+            model = build_model(parse("x1"), Mode.NONSTUDENTIZED, spec)
+            cfg = McConfig(n=10, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
+            with pytest.raises(HarnessError, match="not symbolic ones"):
+                simulate_statistic_cdf(model, cfg)
 
     def test_config_validation(self):
         with pytest.raises(HarnessError):
-            McConfig("gaussian", n=1, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
+            McConfig(n=1, reps=100, grid=parse_grid("-1:1:0.5"), seed=1)
         with pytest.raises(HarnessError):
-            McConfig("gaussian", n=10, reps=0, grid=parse_grid("-1:1:0.5"), seed=1)
+            McConfig(n=10, reps=0, grid=parse_grid("-1:1:0.5"), seed=1)
+        with pytest.raises(HarnessError, match="strictly increasing"):
+            McConfig(n=10, reps=100, grid=(0.0, 0.0, 1.0), seed=1)
+        with pytest.raises(HarnessError, match="needs at least two points"):
+            McConfig(n=10, reps=100, grid=(0.0,), seed=1)
 
 
 def _serial_values(model, cfg):
@@ -229,7 +251,7 @@ def _serial_values(model, cfg):
     while produced < cfg.reps:
         rows = min(harness._CHUNK_ROWS, cfg.reps - produced)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-        w = harness._draw(cfg, rng, rows)
+        w = harness._draw(model.spec, rng, (rows, cfg.n))
         means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, model.dims), start=1)}
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
@@ -263,18 +285,19 @@ class TestWorkers:
         reg = KernelRegistry([Var(1)])
         model = build_model(parse("sqrt(x1)", reg), Mode.NONSTUDENTIZED,
                             gaussian_spec(0.5, 1.0, 8), kernels=reg)
-        cfg = McConfig("gaussian", n=3, mu=0.5, reps=2 * harness._CHUNK_ROWS + 5,
+        cfg = McConfig(n=3, reps=2 * harness._CHUNK_ROWS + 5,
                        grid=parse_grid("-1:1:0.5"), seed=77)
         assert harness._BLOCK_BYTES // (8 * cfg.n) == 21845
-        x1 = harness._chunk_means(cfg, 1, 0)[1]
+        x1 = harness._chunk_means(cfg, model.spec, 1, 0)[1]
         assert (x1[16384:21845] < 0).any() and (x1[21845:32768] < 0).any()
         assert self._check_against_oracle(model, cfg, monkeypatch) > 0
 
     def test_transcendental_statistic_is_bit_identical(self, monkeypatch):
         # exp, Phi and phi nodes, exponential draws, and an n whose draw
         # blocks do not divide the chunk
-        model = model_from_config(load_config("ml_symmetric"), Mode.STUDENTIZED)
-        cfg = McConfig("exponential", n=7, reps=harness._CHUNK_ROWS + 20001,
+        model = model_from_config(load_config("ml_symmetric"), Mode.STUDENTIZED,
+                                  moments_override={"distribution": "exponential"})
+        cfg = McConfig(n=7, reps=harness._CHUNK_ROWS + 20001,
                        grid=parse_grid("-1:1:0.5"), seed=21)
         assert harness._CHUNK_ROWS % (harness._BLOCK_BYTES // (8 * cfg.n)) != 0
         self._check_against_oracle(model, cfg, monkeypatch)
@@ -299,13 +322,12 @@ class TestWorkers:
     def test_chunk_memory_is_bounded(self, n):
         # the chunk's four mean arrays, plus a few draw blocks: no array
         # grows with the chunk size times n
-        cfg = McConfig("gaussian", n=n, reps=harness._CHUNK_ROWS,
-                       grid=parse_grid("-1:1:0.5"), seed=3)
+        cfg = McConfig(n=n, reps=harness._CHUNK_ROWS, grid=parse_grid("-1:1:0.5"), seed=3)
         bound = 4 * harness._CHUNK_ROWS * 8 + 4 * harness._BLOCK_BYTES
         np.random.default_rng(0)  # numpy.random is imported on first use; not traced
         tracemalloc.start()
         try:
-            harness._chunk_means(cfg, 4, 0)
+            harness._chunk_means(cfg, gaussian_spec(0.0, 1.0, 8), 4, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -313,10 +335,14 @@ class TestWorkers:
 
     def test_worker_error_reaches_the_caller_and_threads_end(self, plain_mean_model,
                                                              monkeypatch):
+        def fail(spec, rng, shape):
+            raise HarnessError("draw failed")
+
         monkeypatch.setattr(harness, "_worker_count", lambda: 3)
-        cfg = McConfig("uniform", n=10, reps=5 * harness._CHUNK_ROWS,
-                       grid=parse_grid("-1:1:0.5"), seed=1)
+        monkeypatch.setattr(harness, "_draw", fail)
+        cfg = McConfig(n=10, reps=5 * harness._CHUNK_ROWS, grid=parse_grid("-1:1:0.5"),
+                       seed=1)
         before = threading.active_count()
-        with pytest.raises(HarnessError, match="unknown distribution"):
+        with pytest.raises(HarnessError, match="draw failed"):
             simulate_statistic_values(plain_mean_model, cfg)
         assert threading.active_count() == before

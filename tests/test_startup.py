@@ -18,7 +18,7 @@ SRC = Path(edgeboot.__file__).resolve().parents[1]
 
 # the names edgeboot re-exports from the modules that import numpy
 LAZY_NAMES = {
-    "rearrange": ("Curve", "clip01", "rearrange_increasing"),
+    "rearrange": ("clip01", "rearrange_increasing"),
     "bootstrap": ("BcaResult", "BootConfig", "accel_plugin", "bca_from_replicates",
                   "bca_interval", "resample_distribution"),
     "harness": ("McConfig", "compare_and_emit", "parse_grid", "simulate_statistic_cdf"),
