@@ -38,7 +38,7 @@ from .edgeworth import (
     quantile_eval,
 )
 from .expr import Expr, ExprError, Sym, pretty_print
-from .moments import MomentError, _read_column, parse_number
+from .moments import SCALE_KEYS, MomentError, _read_column, parse_number
 
 # harness's and bootstrap's errors are ValueErrors, so they are reported without
 # importing those modules (and numpy) here
@@ -139,10 +139,13 @@ def _build_model(args) -> tuple[StatModel, FullConfig]:
     moments_override: dict[str, str] = {}
     if args.moments:
         moments_override["distribution"] = args.moments
+    dist = (args.moments or cfg.moments.get("distribution", "symbolic")).strip().lower()
     for key in ("mu", "sigma", "scale"):  # mc alone has --scale
         value = getattr(args, key, None)
         if value is not None:
             parse_number(value, f"--{key}")  # a bad value names its flag
+            if key not in SCALE_KEYS.get(dist, (key,)):  # an unknown dist fails later
+                raise ConfigError(f"--{key} does not apply to {dist} moments")
             moments_override[key] = value
     mode = Mode.parse(args.mode) if args.mode else None
     model = model_from_config(cfg, mode=mode,

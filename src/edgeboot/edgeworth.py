@@ -20,13 +20,18 @@ specs, and plain expression arithmetic when transcendental primitives (Phi,
 phi, exp) make normal forms unavailable (equality checks there are
 numeric-only).  The Edgeworth and Cornish-Fisher polynomials are closed
 forms in the coefficients, computed in the same rings.
+
+Over symbolic moments the table is taken in the centered power means
+``y_j = mean((W - mu)^j)``, an invertible linear map of the raw ones that
+leaves every coefficient unchanged: no cross moment carries ``mu``, and a
+location-invariant ``g`` (a variance, b1, b2) sheds it altogether.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping, Union
@@ -39,15 +44,19 @@ from .algebra import (
     norm_cdf,
     norm_pdf,
     norm_ppf,
+    _registered_pow,
     _to_nf,
     differentiate,
     eval_numeric,
     substitute,
 )
 from .expr import (
+    Add,
     Const,
     Expr,
     KernelRegistry,
+    Mul,
+    Pow,
     Sym,
     Var,
     ZERO,
@@ -94,15 +103,11 @@ class StatModel:
     sigma_a: Value  # h at the moment point
     a_expr: Expr  # the normalized statistic over x1..x_dims
     deriv: dict[tuple[int, ...], Value]
-    spec: MomentSpec
+    spec: MomentSpec  # the spec deriv is taken at: mean 0 when it is symbolic
     params: dict[str, float]
     kernels: KernelRegistry
     # what cumulant_coeffs and accel_constant share, filled by the first _first_order call
     first_order: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def is_numeric(self) -> bool:
-        return not self.spec.is_symbolic
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,36 @@ def as_expr(v: Value) -> Expr:
     return v if isinstance(v, Expr) else Const(Fraction(float(v)))
 
 
+def _centered(g: Expr, mu: Expr, kernels: KernelRegistry) -> Expr:
+    """``g`` over the centered power means ``y_j = mean((W - mu)^j)``, by ``x_k =
+    sum_j C(k, j) mu^(k-j) y_j``: each maximal rational subtree canonical, and the
+    half powers and exp/Phi/phi rebuilt around them (new radicands in ``kernels``)."""
+    to_y = {Var(k): expr_add(pow_(mu, k), *(mul(Const(math.comb(k, j)), pow_(mu, k - j), Var(j))
+                                             for j in range(1, k + 1)))
+            for k in range(1, arity(g) + 1)}
+
+    def canonical(image: Expr, rational: bool) -> Expr:
+        return _to_nf(image).canonical().to_expr() if rational else image
+
+    def walk(e: Expr) -> tuple[Expr, bool]:  # (the image of e, whether e is rational)
+        if isinstance(e, (Const, Sym, Var)):
+            return to_y.get(e, e), True
+        if isinstance(e, Pow):
+            base, rational = walk(e.base)
+            if rational and e.exponent.denominator == 1:
+                return pow_(base, e.exponent), True
+            return _registered_pow(kernels, canonical(base, rational), e.exponent), False
+        if not isinstance(e, (Add, Mul)):  # exp, Phi, phi
+            return type(e)(canonical(*walk(e.arg))), False
+        build = expr_add if isinstance(e, Add) else mul
+        kids = [walk(c) for c in (e.terms if isinstance(e, Add) else e.factors)]
+        if all(rational for _, rational in kids):
+            return build(*(image for image, _ in kids)), True
+        return build(*(canonical(*kid) for kid in kids)), False
+
+    return canonical(*walk(g))
+
+
 def build_model(
     g: Expr,
     mode: Mode,
@@ -170,26 +205,28 @@ def build_model(
         )
 
     numeric = not spec.is_symbolic
+    h = g  # the statistic over the slots the derivative table is taken in
+    if not numeric:  # over the centered power means no moment carries mu (see _centered)
+        mu, spec = as_expr(spec.mean), replace(spec, mean=ZERO)
+        h = g if mu == ZERO else _centered(g, mu, kernels)
     point = {Var(i): raw_moment(spec, i) for i in range(1, 2 * d + 1)}
-    if numeric:
-        env = Bindings(params, {v.index: float(r) for v, r in point.items()})
+    env = Bindings(params, {v.index: float(r) for v, r in point.items()}) if numeric else None
 
-        def at(e: Expr) -> Value:
-            return eval_numeric(e, env)
-    else:
-        def at(e: Expr) -> Value:
-            return substitute(e, point, kernels)
+    def at(e: Expr) -> Value:
+        return eval_numeric(e, env) if numeric else substitute(e, point, kernels)
 
-    gi = {i: differentiate(g, i, kernels) for i in range(1, d + 1)}
-    slopes = [(i, gi[i]) for i in gi if gi[i] != ZERO]
-    h2_terms = [mul(g_i, g_j, sub(Var(i + j), mul(Var(i), Var(j))))
-                for i, g_i in slopes for j, g_j in slopes]
-    if not h2_terms:
-        raise ModelError("zero asymptotic variance: statistic has no slope")
-    h2 = expr_add(*h2_terms)
-    kernels.register(h2)
+    def variance_function(f: Expr) -> Expr:
+        slopes = [(i, fi) for i in range(1, d + 1) if (fi := differentiate(f, i, kernels)) != ZERO]
+        if not slopes:
+            raise ModelError("zero asymptotic variance: statistic has no slope")
+        f2 = expr_add(*[mul(fi, fj, sub(Var(i + j), mul(Var(i), Var(j))))
+                        for i, fi in slopes for j, fj in slopes])
+        kernels.register(f2)
+        return f2
 
-    g_at_mu, h2_at_mu = at(g), at(h2)
+    h2 = variance_function(g)
+    h2_h = h2 if h is g else variance_function(h)
+    g_at_mu, h2_at_mu = at(h), at(h2_h)
     plain = mode is Mode.NONSTUDENTIZED
     if numeric:
         if not (math.isfinite(h2_at_mu) and h2_at_mu > 0):
@@ -211,11 +248,12 @@ def build_model(
         kernels.register(h2_at_mu)
         sigma_a = sqrt(h2_at_mu, kernels)
         normalizer = pow_(h2_at_mu, Fraction(-1, 2), kernels) if plain else None
-    if not plain:
-        normalizer = pow_(h2, Fraction(-1, 2), kernels)
-    a_expr = mul(sub(g, g_at_mu), normalizer)
 
-    deriv_exprs: dict[tuple[int, ...], Expr] = {(): a_expr}
+    def normalized(f: Expr, f2: Expr) -> Expr:
+        return mul(sub(f, g_at_mu), normalizer if plain else pow_(f2, Fraction(-1, 2), kernels))
+
+    a_expr = normalized(g, h2)
+    deriv_exprs: dict[tuple[int, ...], Expr] = {(): normalized(h, h2_h)}
     deriv: dict[tuple[int, ...], Value] = {}
     for order in (1, 2, 3):
         for t in _sorted_tuples(dims, order):

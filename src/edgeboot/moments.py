@@ -5,7 +5,8 @@ parameterized by the mean ``mu``, the scale ``sigma`` and the standardized
 central moments ``m[k]`` (``m[3]`` is the skewness Gamma1, ``m[4]`` the
 excess kurtosis kappa1 plus 3, higher orders are ``mu5``, ``mu6``, ...).
 Specs are either symbolic (Expr-valued) or numeric (float-valued); the same
-conversion formulas serve both.
+conversion formulas serve both.  A symbolic expansion reads its spec with the
+mean set to 0 (the moments of W - mu), where every term in ``mu`` drops out.
 """
 
 from __future__ import annotations
@@ -230,6 +231,9 @@ def cross_moment(spec: MomentSpec, indices: tuple[int, ...]) -> Value:
 # the [moments] keys some distribution reads
 MOMENT_KEYS = ("distribution", "k", "mu", "sigma", "scale", "data_file", "gamma1", "kappa1",
                "moments")
+# the location and scale keys each distribution reads
+SCALE_KEYS = {"gaussian": ("mu", "sigma"), "custom": ("mu", "sigma"), "exponential": ("scale",),
+              "symbolic": (), "empirical": ()}
 
 
 def parse_number(text: str, place: str, convert=lambda t: float(Fraction(t))):
@@ -267,6 +271,8 @@ def spec_from_config(section: Mapping[str, str], required_K: int) -> MomentSpec:
         return empirical_spec(data, K)
     if dist == "custom":
         mu, sigma = num("mu", "0"), num("sigma", "1")
+        if sigma <= 0:
+            raise MomentError("custom sigma must be positive")
         ms: list[float] = [1.0, 0.0, 1.0, num("gamma1", "0"), num("kappa1", "0") + 3.0]
         extra = section.get("moments", "").strip().strip("[]")
         ms.extend(parse_number(tok.strip(), "[moments] moments")

@@ -7,8 +7,11 @@ import pytest
 from edgeboot import bootstrap, harness
 from edgeboot.cli import main
 from edgeboot.codegen import reimport_check
-from edgeboot.config import load_config
+from edgeboot.algebra import Bindings, eval_numeric
+from edgeboot.config import load_config, model_from_config
+from edgeboot.edgeworth import accel_constant, cornish_fisher_polys, cumulant_coeffs, edgeworth_polys
 from edgeboot.expr import KernelRegistry
+from edgeboot.moments import spec_from_config
 
 
 def run(capsys, *argv):
@@ -508,6 +511,40 @@ class TestExport:
         assert text == out
 
 
+    @pytest.mark.parametrize("stat", ["ml_symmetric", "ml_general"])
+    def test_transcendental_export_equals_the_float_ring(self, capsys, stat):
+        # the exported text over symbolic moments, at a gaussian (mu, sigma) and
+        # at the exponential moment point, against the float-ring expansion
+        items = ["A", "a", "k12", "k22", "k31", "p1", "p11"]
+        code, out, err = run(capsys, "export", "--stat", stat, "--moments", "symbolic",
+                             "--what", ",".join(items))
+        assert (code, err) == (0, "")
+        cfg = load_config(stat)
+        model = model_from_config(cfg, moments_override={"distribution": "symbolic"})
+        accel_constant(model)  # registers the radicand of `a`
+        exported = dict(reimport_check(out, model.kernels))
+        assert list(exported) == items
+        x = 0.7
+        for moments, env in (({"distribution": "gaussian", "mu": "3/10", "sigma": "11/10"},
+                              {"mu": 0.3, "sigma": 1.1, "Gamma1": 0.0, "kappa1": 0.0}),
+                             ({"distribution": "exponential"},
+                              {"mu": 1.0, "sigma": 1.0, "Gamma1": 2.0, "kappa1": 6.0})):
+            spec = spec_from_config(moments, 32)
+            env.update({f"mu{k}": spec.std_moments[k] for k in range(5, 33)},
+                       x=x, **cfg.statistic.params)
+            numeric = model_from_config(cfg, moments_override=moments)
+            k = cumulant_coeffs(numeric)
+            p1, p2 = edgeworth_polys(k)
+            p11, _ = cornish_fisher_polys(p1, p2)
+            acc = accel_constant(numeric)
+            want = {"A": acc.A_value, "a": acc.a_over_sqrtn, "k12": k.k12, "k22": k.k22,
+                    "k31": k.k31, "p1": p1.eval(x), "p11": p11.eval(x)}
+            for name, e in exported.items():
+                got = eval_numeric(e, Bindings(env))
+                assert math.isclose(got, want[name], rel_tol=1e-9, abs_tol=1e-12), (
+                    moments["distribution"], name)
+
+
 class TestErrors:
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -558,6 +595,30 @@ class TestErrors:
                              "--mu", "1e200")
         assert (code, out) == (1, "")
         assert err == "error: raw moment of order 2 overflows a double\n"
+
+    @pytest.mark.parametrize("command, flag, value, dist", [
+        ("expand", "--mu", "5", "exponential"),
+        ("expand", "--sigma", "3", "exponential"),
+        ("expand", "--mu", "1", "symbolic"),
+        ("mc", "--scale", "2", "gaussian"),
+    ])
+    def test_unread_moment_flag_is_one_error_line(self, capsys, tmp_path, command, flag, value,
+                                                  dist):
+        # these flags were once ignored: exit 0 with the results without them
+        extra = ["--seed", "1", "--out", str(tmp_path / "x.csv")] if command == "mc" else []
+        code, out, err = run(capsys, command, "--stat", "variance", "--moments", dist,
+                             flag, value, *extra)
+        assert (code, out, err) == (1, "", f"error: {flag} does not apply to {dist} moments\n")
+
+    def test_unread_moment_flag_from_the_config_distribution(self, capsys, tmp_path):
+        cfg = _config(tmp_path, moments="distribution = exponential\n")
+        code, out, err = run(capsys, "accel", "--stat", cfg, "--sigma", "2")
+        assert (code, out, err) == (1, "", "error: --sigma does not apply to exponential moments\n")
+
+    def test_unread_config_keys_stay_accepted(self, capsys):
+        # the presets' [moments] gaussian mu and sigma under exponential moments
+        code, _, err = run(capsys, "accel", "--stat", "ml_symmetric", "--moments", "exponential")
+        assert (code, err) == (0, "")
 
     def test_bad_quantile_level(self, capsys):
         code, _, err = run(capsys, "quantile", "--stat", "mean", "--moments",

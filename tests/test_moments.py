@@ -182,6 +182,13 @@ class TestConfig:
         e = exponential_spec(K=8)
         assert s.std_moments == e.std_moments
 
+    @pytest.mark.parametrize("sigma", ["-2", "0"])
+    def test_custom_sigma_must_be_positive(self, sigma):
+        # it once gave the results of |sigma|
+        with pytest.raises(MomentError, match="custom sigma must be positive"):
+            spec_from_config({"distribution": "custom", "sigma": sigma, "moments": "10, 20, 40, 80"},
+                             8)
+
     def test_empirical_section(self, tmp_path):
         f = tmp_path / "data.csv"
         f.write_text("value\n1\n2\n3\n")
