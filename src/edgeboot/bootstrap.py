@@ -12,7 +12,9 @@ The bias correction is ``m = Phi^{-1}(H(theta_hat))`` with ``H`` the weak
 (ties count as <=) bootstrap CDF, and quantiles use the inf-definition
 ``H^{-1}(p)`` = the ceil(p*B)-th order statistic.  Undefined replicates
 (NaN statistic values) are never silently redrawn; they are excluded from
-``H`` and reported in the result.
+``H`` and reported in the result.  The acceleration comes from the model at
+the empirical moments, :func:`edgeboot.edgeworth.accel_constant` over
+:func:`edgeboot.moments.empirical_spec`, the formula ``accel`` prints.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Bindings, eval_numeric, differentiate, norm_cdf, norm_ppf
-from .edgeworth import Statistic, StatModel
-from .expr import ZERO, arity
+# differentiate is unused here; bench/tracing.py wraps bootstrap.differentiate
+from .algebra import Bindings, differentiate, eval_numeric, norm_cdf, norm_ppf  # noqa: F401
+from .edgeworth import (Mode, Statistic, StatModel, accel_constant, build_model,
+                        model_shape)
+from .expr import arity
 from .harness import _BLOCK_BYTES, _EVAL_ROWS, power_means, replicate_values
-from .moments import powers
+from .moments import empirical_spec
 
 _CHUNK = 256
 # each replicate is held once, 8 B each, and sorted in place: 80 MB at the cap
@@ -139,37 +143,20 @@ def h_inverse_rank(B: int, p: float) -> int:
 
 
 def accel_plugin(data: Sequence[float], model: StatModel | Statistic) -> float:
-    """Plug-in acceleration: derivatives at the empirical moment point and
-    empirical central cross-moments; invariant to the statistic's scaling.
+    """Plug-in acceleration ``a = A / (6 sigma^3 sqrt(n))``: the model's
+    :func:`~edgeboot.edgeworth.accel_constant` at the empirical moments of
+    ``data``; invariant to the statistic's scaling.
 
-    The cross-moments are averaged directly over the centered data products
-    (not via raw-moment expansion), so symmetric samples give an exact zero."""
+    The model is expanded at the sample mean, where every odd central moment
+    of a symmetric sample is an exact zero, and so is the mean's ``a``."""
     w = np.asarray(data, dtype=float)
     n = w.size
     if n < 2:
         raise BootstrapError("need at least two observations")
-    d = arity(model.g)
-    point = {}
-    centered = {}
-    for i, wp in enumerate(powers(w, d), start=1):
-        point[i] = float(wp.mean())
-        centered[i] = wp - point[i]
-    env = Bindings(dict(model.params), point)
-    grads = {}
-    for i in range(1, d + 1):
-        gi = differentiate(model.g, i, model.kernels)
-        grads[i] = 0.0 if gi == ZERO else float(eval_numeric(gi, env))
-    # project the data onto the estimated influence direction, then take
-    # the second and third moments of that single series
-    proj = np.zeros_like(w)
-    for i in range(1, d + 1):
-        if grads[i] != 0.0:
-            proj = proj + grads[i] * centered[i]
-    s2 = float(np.mean(proj * proj))
-    a3 = float(np.mean(proj * proj * proj))
-    if not (math.isfinite(s2) and s2 > 0):
-        raise BootstrapError("zero empirical variance for the acceleration constant")
-    return a3 / (6.0 * s2**1.5 * math.sqrt(n))
+    spec = empirical_spec(w, model_shape(model.g, Mode.NONSTUDENTIZED)[2])
+    fitted = build_model(model.g, Mode.NONSTUDENTIZED, spec, params=model.params,
+                         kernels=model.kernels)
+    return accel_constant(fitted).a_over_sqrtn / math.sqrt(n)
 
 
 def bca_from_replicates(
@@ -219,20 +206,13 @@ def bca_from_replicates(
     )
 
 
-def bca_interval(
-    data: Sequence[float],
-    cfg: BootConfig,
-    model: StatModel | Statistic,
-    a_hat: float | None = None,
-) -> BcaResult:
-    """Nonparametric BCA interval for the statistic of ``model``.
-
-    ``a_hat`` overrides the plug-in acceleration (useful for testing the
-    a=0 reduction to the percentile interval)."""
+def bca_interval(data: Sequence[float], cfg: BootConfig,
+                 model: StatModel | Statistic) -> BcaResult:
+    """Nonparametric BCA interval for the statistic of ``model``, with the
+    acceleration of :func:`accel_plugin`."""
     w = np.asarray(data, dtype=float)
     means = power_means(lambda lo, size: w[None, :], 1, 1, arity(model.g))
     theta_hat = float(np.ravel(eval_numeric(model.g, Bindings(dict(model.params), means)))[0])
     reps, nan_count = resample_distribution(data, cfg, model)
-    if a_hat is None:
-        a_hat = accel_plugin(data, model)
-    return bca_from_replicates(theta_hat, reps, a_hat, cfg.alpha, nan_count)
+    return bca_from_replicates(theta_hat, reps, accel_plugin(data, model), cfg.alpha,
+                               nan_count)

@@ -21,10 +21,10 @@ phi, exp) make normal forms unavailable (equality checks there are
 numeric-only).  The Edgeworth and Cornish-Fisher polynomials are closed
 forms in the coefficients, computed in the same rings.
 
-Over symbolic moments the table is taken in the centered power means
-``y_j = mean((W - mu)^j)``, an invertible linear map of the raw ones that
-leaves every coefficient unchanged: no cross moment carries ``mu``, and a
-location-invariant ``g`` (a variance, b1, b2) sheds it altogether.
+The table is taken in the centered power means ``y_j = mean((W - mu)^j)``,
+an invertible linear map of the raw ones that leaves every coefficient
+unchanged: no cross moment carries ``mu``, and a location-invariant ``g`` (a
+variance, b1, b2) sheds it altogether, symbolically and in floats alike.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class StatModel:
     sigma_a: Value  # h at the moment point
     a_expr: Expr  # the normalized statistic over x1..x_dims
     deriv: dict[tuple[int, ...], Value]
-    spec: MomentSpec  # the spec deriv is taken at: mean 0 when it is symbolic
+    spec: MomentSpec  # the caller's spec: deriv is taken at _at_mean_zero(spec)
     params: dict[str, float]
     kernels: KernelRegistry
     # what cumulant_coeffs and accel_constant share, filled by the first _first_order call
@@ -186,6 +186,12 @@ def _centered(g: Expr, mu: Expr, kernels: KernelRegistry) -> Expr:
     return canonical(*walk(g))
 
 
+def _at_mean_zero(spec: MomentSpec) -> MomentSpec:
+    """``spec`` shifted to its mean: the moments of ``W - mu``, the point of the
+    derivative table and the spec of its cross moments."""
+    return replace(spec, mean=ZERO if spec.is_symbolic else 0.0)
+
+
 def build_model(
     g: Expr,
     mode: Mode,
@@ -205,11 +211,11 @@ def build_model(
         )
 
     numeric = not spec.is_symbolic
-    h = g  # the statistic over the slots the derivative table is taken in
-    if not numeric:  # over the centered power means no moment carries mu (see _centered)
-        mu, spec = as_expr(spec.mean), replace(spec, mean=ZERO)
-        h = g if mu == ZERO else _centered(g, mu, kernels)
-    point = {Var(i): raw_moment(spec, i) for i in range(1, 2 * d + 1)}
+    # over the centered power means no moment carries mu (see _centered): h is
+    # the statistic over the slots the derivative table is taken in
+    mu = as_expr(spec.mean)
+    h = g if mu == ZERO else _centered(g, mu, kernels)
+    point = {Var(i): raw_moment(_at_mean_zero(spec), i) for i in range(1, 2 * d + 1)}
     env = Bindings(params, {v.index: float(r) for v, r in point.items()}) if numeric else None
 
     def at(e: Expr) -> Value:
@@ -340,7 +346,7 @@ def _first_order(model: StatModel):
     if model.first_order is not None:
         return model.first_order
     ring, a = _model_ring(model)
-    M = _MomentView(model.spec, ring)
+    M = _MomentView(_at_mean_zero(model.spec), ring)
     D = model.dims
     nonzero1 = [i for i in range(1, D + 1) if not ring.is_zero(a[(i,)])]
     S2 = ring.sum(

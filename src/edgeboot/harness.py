@@ -54,7 +54,6 @@ class McConfig:
     reps: int
     grid: tuple[float, ...]
     seed: int
-    statistic_scale: float = 1.0  # e.g. sqrt((n-1)/n) to match an s_c-based statistic
 
     def __post_init__(self):
         if self.reps < 1:
@@ -173,7 +172,7 @@ def simulate_statistic_values(model: StatModel, cfg: McConfig) -> tuple[np.ndarr
     values, excluded = replicate_values(
         model.a_expr, model.params, cfg.reps, -(-cfg.reps // _CHUNK_ROWS),
         lambda c: _chunk_means(cfg, model.spec, model.dims, c),
-        math.sqrt(cfg.n) * cfg.statistic_scale)
+        math.sqrt(cfg.n))
     if values.size == 0:
         raise HarnessError("statistic undefined on every draw")
     return values, excluded

@@ -5,8 +5,8 @@ parameterized by the mean ``mu``, the scale ``sigma`` and the standardized
 central moments ``m[k]`` (``m[3]`` is the skewness Gamma1, ``m[4]`` the
 excess kurtosis kappa1 plus 3, higher orders are ``mu5``, ``mu6``, ...).
 Specs are either symbolic (Expr-valued) or numeric (float-valued); the same
-conversion formulas serve both.  A symbolic expansion reads its spec with the
-mean set to 0 (the moments of W - mu), where every term in ``mu`` drops out.
+conversion formulas serve both.  An expansion reads its spec with the mean
+set to 0 (the moments of W - mu), where every term in ``mu`` drops out.
 """
 
 from __future__ import annotations
@@ -151,7 +151,9 @@ def empirical_spec(sample: Sequence[float], K: int) -> MomentSpec:
 # Raw and central cross-moments
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# the caches are keyed by spec and bounded, so a loop over fresh empirical specs
+# (one per bootstrap interval) holds no memory for the specs it is done with
+@lru_cache(maxsize=256)
 def _ring_values(spec: MomentSpec) -> tuple[Value, Value, list[Value], Value]:
     """mean, scale, m[0..K] and zero: all Exprs for a symbolic spec, all
     floats otherwise (converted once per spec)."""
@@ -165,7 +167,7 @@ def _ring_values(spec: MomentSpec) -> tuple[Value, Value, list[Value], Value]:
     return conv(spec.mean), conv(spec.scale), [conv(m) for m in spec.std_moments], zero
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def raw_moment(spec: MomentSpec, i: int) -> Value:
     """E[W^i] = sum_j C(i,j) m_j sigma^j mu^(i-j).  A float moment that
     leaves the double range raises :class:`MomentError`."""
@@ -192,7 +194,7 @@ def powers(w: np.ndarray, d: int) -> Iterator[np.ndarray]:
         yield wp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def cross_moment(spec: MomentSpec, indices: tuple[int, ...]) -> Value:
     """mu_{i1..ij} = E[prod_k (W^{i_k} - E W^{i_k})], 2 <= j <= 4.
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from edgeboot.edgeworth import CumulantCoeffs, StatModel, _model_ring, _MomentView
+from edgeboot.edgeworth import (CumulantCoeffs, StatModel, _at_mean_zero, _model_ring,
+                                _MomentView)
 
 
 def cumulant_coeffs_naive(model: StatModel) -> CumulantCoeffs:
@@ -17,7 +18,7 @@ def cumulant_coeffs_naive(model: StatModel) -> CumulantCoeffs:
     intended for numeric specs (full six-deep loops).
     """
     ring, a = _model_ring(model)
-    M = _MomentView(model.spec, ring)
+    M = _MomentView(_at_mean_zero(model.spec), ring)
     D = model.dims
     rng1 = range(1, D + 1)
 

@@ -19,7 +19,7 @@ from edgeboot.bootstrap import (
     h_value,
     resample_distribution,
 )
-from edgeboot.edgeworth import Mode, build_model
+from edgeboot.edgeworth import Mode, accel_constant, build_model
 from edgeboot.expr import KernelRegistry, Var, arity, parse
 from edgeboot.moments import empirical_spec, gaussian_spec, powers
 
@@ -170,6 +170,23 @@ class TestAccelPlugin:
         target = math.sqrt(2.0) / (3.0 * math.sqrt(n))
         got = accel_plugin(data, variance_model)
         assert abs(got - target) <= 0.1 * abs(target)
+
+    def test_is_the_model_acceleration_at_the_empirical_moments(self, variance_model):
+        data = np.random.default_rng(5).exponential(1.0, 40)
+        spec = empirical_spec(data, 8)
+        a = accel_constant(build_model(variance_model.g, Mode.NONSTUDENTIZED, spec))
+        assert accel_plugin(data, variance_model) == a.a_over_sqrtn / math.sqrt(data.size)
+
+    @pytest.mark.parametrize("c", [0.0, 1e3])
+    def test_offset_data_give_the_projection_value(self, variance_model, c):
+        # the variance's a is the skewness of its influence values, the
+        # centered squares projected on the gradient (-2 m1, 1); at the raw
+        # moment point the model gave 52.48 for data near 1000
+        data = np.random.default_rng(5).exponential(1.0, 40)
+        proj = (data - data.mean()) ** 2 - np.mean((data - data.mean()) ** 2)
+        want = np.mean(proj**3) / (6.0 * np.mean(proj**2) ** 1.5 * math.sqrt(data.size))
+        got = accel_plugin(data + c, variance_model)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestBcaInterval:

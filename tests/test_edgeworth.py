@@ -4,14 +4,15 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from edgeboot.algebra import Bindings, eval_numeric, normalize, sym_equal
 from edgeboot.expr import (
+    Const,
     Expr,
     KernelRegistry,
     Sym,
@@ -19,6 +20,7 @@ from edgeboot.expr import (
     ONE,
     ZERO,
     const,
+    mul,
     parse,
     pow_,
     pretty_print,
@@ -39,6 +41,7 @@ from edgeboot.edgeworth import (
     ModelError,
     Poly,
     accel_constant,
+    as_expr,
     build_model,
     cdf_eval,
     cornish_fisher_polys,
@@ -576,20 +579,29 @@ class TestOneModelPath:
         got = build_model(g, mode, spec, params=params, kernels=reg)
         g, params, reg = _fold_statistic(stat)
         want = build_model_two_branch(g, mode, spec, params=params, kernels=reg)
-        # over symbolic moments the table is taken in the centered basis, so
-        # the reference gets the same centered statistic and spec
+        want_reg = reg
+        # the table is taken in the centered basis, so for a nonzero mean the
+        # reference gets the same centered statistic and the spec shifted to it
         table = want
-        if spec.is_symbolic:
+        if as_expr(spec.mean) != ZERO:
             h, params, reg = _fold_statistic(stat)
-            h = edgeworth._centered(h, spec.mean, reg)
-            spec = replace(spec, mean=ZERO)
-            table = build_model_two_branch(h, mode, spec, params=params, kernels=reg)
+            h = edgeworth._centered(h, as_expr(spec.mean), reg)
+            table = build_model_two_branch(h, mode, edgeworth._at_mean_zero(spec),
+                                           params=params, kernels=reg)
         assert got.spec == spec
         assert (got.d, got.dims) == (want.d, want.dims)
         assert got.h2_expr == want.h2_expr
         if spec.is_symbolic and stat.startswith("ml_"):
             # g(mu) comes from the centered point: the same value, a new form
             assert sym_equal(got.a_expr, want.a_expr)
+        elif table is not want and not spec.is_symbolic:
+            # g(mu) is h at the shifted point, in the reference's formula
+            shifted = edgeworth._at_mean_zero(spec)
+            g_mu = eval_numeric(h, Bindings(params, {i: raw_moment(shifted, i)
+                                                     for i in range(1, 2 * got.d + 1)}))
+            normalizer = (Const(Fraction(1.0 / table.sigma_a)) if mode is Mode.NONSTUDENTIZED
+                          else pow_(want.h2_expr, Fraction(-1, 2), want_reg))
+            assert got.a_expr == mul(sub(g, Const(Fraction(float(g_mu)))), normalizer)
         else:
             assert got.a_expr == want.a_expr
         assert _same(got.sigma_a, table.sigma_a)
@@ -659,7 +671,7 @@ class TestCenteredBasis:
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("stat", list(_FOLD_STATS))
-    def test_coefficients_equal_the_raw_point(self, stat, mode):
+    def test_coefficients_equal_the_raw_point(self, stat, mode, monkeypatch):
         # the unshifted reference contracted at the raw moment point: equal
         # canonical forms, or equal values where exp/Phi/phi leave no normal
         # form.  b2 and studentized cv take minutes over symbolic_spec at the
@@ -671,13 +683,16 @@ class TestCenteredBasis:
         else:
             spec = symbolic_spec(K)
         got = build_model(g, mode, spec, params=params, kernels=reg)
+        ours = cumulant_coeffs(got), accel_constant(got)
         g, params, reg = _fold_statistic(stat)
         want = build_model_two_branch(g, mode, spec, params=params, kernels=reg)
+        with monkeypatch.context() as patch:  # the reference contracts at the raw point
+            patch.setattr(edgeworth, "_at_mean_zero", lambda spec: spec)
+            theirs = cumulant_coeffs(want), accel_constant(want)
         same = sym_equal if stat.startswith("ml_") else operator.is_
-        for ours, theirs in ((cumulant_coeffs(got), cumulant_coeffs(want)),
-                             (accel_constant(got), accel_constant(want))):
-            for name, value in vars(theirs).items():
-                assert same(getattr(ours, name), value), name
+        for mine, ref in zip(ours, theirs):
+            for name, value in vars(ref).items():
+                assert same(getattr(mine, name), value), name
 
     def test_the_contraction_sees_no_mean(self, monkeypatch):
         seen = []
@@ -709,12 +724,46 @@ class TestCenteredBasis:
         # mean 0.0: nothing is substituted; mean 0.5: the same expansion as 1/2
         g = parse("x2 - x1^2")
         m = build_model(g, Mode.NONSTUDENTIZED, gaussian_spec(0.0, Sym("sigma"), 8))
-        assert m.spec.mean is ZERO and m.g is g
+        assert edgeworth._at_mean_zero(m.spec).mean is ZERO and m.g is g
         assert normalize(m.deriv[(2,)]) == normalize(parse("1/(sqrt(2)*sigma^2)"))
         half = [cumulant_coeffs(build_model(g, Mode.NONSTUDENTIZED,
                                             gaussian_spec(mean, Sym("sigma"), 8)))
                 for mean in (0.5, const(Fraction(1, 2)))]
         assert half[0] == half[1]
+
+
+class TestNumericShift:
+    """Numeric specs are expanded about their mean too, so a location shift of
+    the distribution moves no digit of a location-invariant statistic."""
+
+    @staticmethod
+    def _close(got, want):
+        return abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 10.0, 30.0, 1e3])
+    def test_gaussian_kurtosis_k41_is_540_at_any_mean(self, mu):
+        # at the raw point k41 read 539.96 at mu = 10 and -9.39e8 at mu = 30,
+        # and mu = 1000 failed with an invalid asymptotic variance
+        g = parse(_FOLD_STATS["kurtosis_b2"])
+        k = cumulant_coeffs(build_model(g, Mode.NONSTUDENTIZED, gaussian_spec(mu, 1.0, 32)))
+        assert self._close(k.k41, 540.0)
+
+    @pytest.mark.parametrize("c", [0.0, 1e3])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("g_text", ["x2 - x1^2", _SKEWNESS])
+    def test_empirical_offset_changes_no_coefficient(self, g_text, mode, c):
+        data = np.random.default_rng(41).exponential(1.0, 60)
+
+        def expansion(sample):
+            reg = KernelRegistry([ML_RADICAND])
+            g = parse(g_text, reg)
+            model = build_model(g, mode, empirical_spec(sample, model_shape(g, mode)[2]),
+                                kernels=reg)
+            return vars(cumulant_coeffs(model)) | vars(accel_constant(model))
+
+        got, want = expansion(data + c), expansion(data)
+        for name, value in want.items():
+            assert self._close(got[name], value), (name, got[name], value)
 
 
 # ---------------------------------------------------------------------------

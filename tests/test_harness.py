@@ -120,11 +120,10 @@ class TestSimulate:
 
     def test_studentized_mean_matches_t9(self):
         # sqrt(n)(mean - mu)/sigma_hat rescaled by sqrt((n-1)/n) is exactly
-        # t_{n-1} for Gaussian data
+        # t_{n-1} for Gaussian data, so its CDF at x is t_{n-1}'s at that multiple
         n = 10
         model = build_model(parse("x1"), Mode.STUDENTIZED, gaussian_spec(0.0, 1.0, 8))
-        cfg = McConfig(n=n, reps=200000, grid=parse_grid("-3:3:0.25"),
-                       seed=1234, statistic_scale=math.sqrt((n - 1) / n))
+        cfg = McConfig(n=n, reps=200000, grid=parse_grid("-3:3:0.25"), seed=1234)
         ecdf, _ = simulate_statistic_cdf(model, cfg)
 
         def t_cdf(x, nu):
@@ -133,7 +132,8 @@ class TestSimulate:
             p = 0.5 * betainc(nu / 2.0, 0.5, nu / (nu + x * x))
             return p if x < 0 else 1.0 - p
 
-        worst = max(abs(v - t_cdf(x, n - 1)) for x, v in zip(cfg.grid, ecdf))
+        c = math.sqrt((n - 1) / n)
+        worst = max(abs(v - t_cdf(c * x, n - 1)) for x, v in zip(cfg.grid, ecdf))
         assert worst < 0.01
 
     def test_undefined_draws_are_counted_not_imputed(self):
@@ -255,7 +255,7 @@ def _serial_values(model, cfg):
         means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, model.dims), start=1)}
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
-        vals = math.sqrt(cfg.n) * cfg.statistic_scale * np.asarray(vals, dtype=float)
+        vals = math.sqrt(cfg.n) * np.asarray(vals, dtype=float)
         keep = vals[np.isfinite(vals)]
         excluded += vals.size - keep.size
         chunks.append(keep)

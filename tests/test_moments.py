@@ -163,6 +163,14 @@ class TestEmpiricalSpec:
         with pytest.raises(DegenerateSampleError):
             empirical_spec([4.0, 4.0, 4.0], K=4)
 
+    def test_moment_caches_are_bounded(self):
+        # each bootstrap interval expands one fresh empirical spec, and the
+        # caches are keyed by spec: a loop of intervals must not fill them without end
+        from edgeboot import moments
+
+        for cache in (raw_moment, cross_moment, moments._ring_values):
+            assert cache.cache_info().maxsize is not None
+
 
 class TestConfig:
     def test_gaussian_section(self):
