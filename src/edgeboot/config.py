@@ -1,9 +1,9 @@
 """Statistic/moments/run configuration files (INI-style key = value).
 
-Sections: ``[statistic]`` with name, g, mode, optional ``d`` (dimension
-override), optional ``positive`` (semicolon-separated expressions registered
-as positive square-root kernels) and any further keys as numeric statistic
-parameters (e.g. ``lambda = 1.0``); ``[moments]`` as consumed by
+Sections: ``[statistic]`` with name, g, mode, optional ``positive``
+(semicolon-separated expressions registered as positive square-root kernels)
+and any further keys as numeric statistic parameters (e.g. ``lambda = 1.0``),
+each a symbol of g; ``[moments]`` as consumed by
 :func:`edgeboot.moments.spec_from_config`; ``[run]`` with n, reps, grid,
 B, alpha.  ``[moments]`` and ``[run]`` keys are case-insensitive, and
 an unknown or repeated key is an error.
@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .expr import KernelRegistry, parse
+from .expr import KernelRegistry, free_symbols, parse
 from .moments import MOMENT_KEYS, parse_number, spec_from_config
 from .edgeworth import Mode, Statistic, StatModel, build_model, model_shape
 
-_STAT_KEYS = {"name", "g", "mode", "d", "positive"}
+_STAT_KEYS = {"name", "g", "mode", "positive"}
 _RUN_KEYS = ("n", "reps", "grid", "b", "alpha")
 
 PRESETS = ("mean", "variance", "ml_symmetric", "ml_general")
@@ -39,7 +39,6 @@ class StatisticConfig:
     name: str
     g_text: str
     mode: Mode
-    d: int | None = None
     positive: tuple[str, ...] = ()
     params: dict[str, float] = field(default_factory=dict)
 
@@ -104,7 +103,6 @@ def load_config(path_or_name: str) -> FullConfig:
         name=st.get("name", "statistic"),
         g_text=st["g"],
         mode=Mode.parse(st.get("mode", "plain")),
-        d=parse_number(st["d"], "[statistic] d", int) if "d" in st else None,
         positive=positive,
         params=params,
     )
@@ -137,18 +135,25 @@ def model_from_config(
     """Build the statistic model a config describes."""
     stat = statistic_from_config(cfg, param_override)
     mode = mode or cfg.statistic.mode
-    _, _, K = model_shape(stat.g, mode, cfg.statistic.d)
+    _, _, K = model_shape(stat.g, mode)
     spec = spec_from_config({**cfg.moments, **(moments_override or {})}, K)
-    return build_model(stat.g, mode, spec, d=cfg.statistic.d, params=stat.params,
-                       kernels=stat.kernels)
+    return build_model(stat.g, mode, spec, params=stat.params, kernels=stat.kernels)
 
 
 def statistic_from_config(
     cfg: FullConfig, param_override: dict[str, float] | None = None
 ) -> Statistic:
-    """The statistic a config describes, without its moment model."""
+    """The statistic a config describes, without its moment model.  A
+    parameter that is not a symbol of g is an error."""
     stat = cfg.statistic
     reg = KernelRegistry()
     for text in stat.positive:
         reg.register(parse(text, reg))
-    return Statistic(parse(stat.g_text, reg), {**stat.params, **(param_override or {})}, reg)
+    g = parse(stat.g_text, reg)
+    params = {**stat.params, **(param_override or {})}
+    symbols = free_symbols(g)
+    unused = sorted(set(params) - symbols)
+    if unused:
+        raise ConfigError(f"parameter {unused[0]!r} is not a symbol of g "
+                          f"(its symbols: {', '.join(sorted(symbols)) or 'none'})")
+    return Statistic(g, params, reg)

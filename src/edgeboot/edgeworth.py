@@ -7,8 +7,8 @@ k41, the Edgeworth polynomials p1/p2, the Cornish-Fisher polynomials
 p11/p21, the normalizing-constant adjustment, and the acceleration constant
 for bias-corrected-accelerated bootstrap intervals.
 
-The studentizing denominator is derived automatically from ``g``:
-``h^2 = sum_{i,j<=d} dg/dx_i dg/dx_j (x_{i+j} - x_i x_j)``, the plug-in
+The studentizing denominator is derived automatically from the statistic:
+``h^2 = sum_{i,j<=d} dh/dy_i dh/dy_j (y_{i+j} - y_i y_j)``, the plug-in
 covariance of the estimated influence components.  At the moment point this
 equals the asymptotic variance, so the normalized statistic always has unit
 first-order variance.
@@ -21,10 +21,13 @@ phi, exp) make normal forms unavailable (equality checks there are
 numeric-only).  The Edgeworth and Cornish-Fisher polynomials are closed
 forms in the coefficients, computed in the same rings.
 
-The table is taken in the centered power means ``y_j = mean((W - mu)^j)``,
-an invertible linear map of the raw ones that leaves every coefficient
-unchanged: no cross moment carries ``mu``, and a location-invariant ``g`` (a
-variance, b1, b2) sheds it altogether, symbolically and in floats alike.
+The model lives in the centered power means ``y_j = mean((W - mu)^j)``, an
+invertible linear map of the raw ones that leaves every coefficient
+unchanged: ``h`` is ``g`` over them, and the normalized statistic and its
+table are taken in them.  No cross moment carries ``mu``, and a
+location-invariant ``g`` (a variance, b1, b2) sheds it altogether,
+symbolically and in floats alike; Monte Carlo draws evaluate the same
+statistic over ``W - mu``.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ class StatModel:
     d: int
     mode: Mode
     dims: int
-    h2_expr: Expr  # squared studentizing function, over x1..x_{2d}
-    sigma_a: Value  # h at the moment point
-    a_expr: Expr  # the normalized statistic over x1..x_dims
+    sigma_a: Value  # the asymptotic standard deviation, at the moment point
+    # the normalized statistic over the centered power means y1..y_dims of
+    # W - mu (mu = spec.mean); deriv is its table at the moment point
+    a_expr: Expr
     deriv: dict[tuple[int, ...], Value]
     spec: MomentSpec  # the caller's spec: deriv is taken at _at_mean_zero(spec)
     params: dict[str, float]
@@ -134,19 +138,12 @@ def _multiplicity(t: tuple[int, ...]) -> int:
     return out
 
 
-def model_shape(g: Expr, mode: Mode, d: int | None = None) -> tuple[int, int, int]:
+def model_shape(g: Expr, mode: Mode) -> tuple[int, int, int]:
     """(d, dims, K): the power-mean count, the slots of the normalized
-    statistic and the moment order its expansion needs.
-
-    ``d`` may exceed arity(g) to embed the statistic in a higher-dimensional
-    power basis (unused slots get zero derivatives).
-    """
-    d0 = arity(g)
-    if d0 < 1 and d is None:
+    statistic and the moment order its expansion needs."""
+    d = arity(g)
+    if d < 1:
         raise ModelError("statistic must depend on at least x1")
-    d = d if d is not None else d0
-    if d < max(d0, 1):
-        raise ModelError(f"dimension override {d} below arity {d0}")
     dims = d if mode is Mode.NONSTUDENTIZED else 2 * d
     return d, dims, max(2 * d, 4 * dims)
 
@@ -196,15 +193,14 @@ def build_model(
     g: Expr,
     mode: Mode,
     spec: MomentSpec,
-    d: int | None = None,
     params: Mapping[str, float] | None = None,
     kernels: KernelRegistry | None = None,
 ) -> StatModel:
     """Construct the normalized statistic and its derivative table at the
-    moment point (see :func:`model_shape` for ``d``)."""
+    moment point, both over the centered power means."""
     params = dict(params or {})
     kernels = kernels or KernelRegistry()
-    d, dims, needed_K = model_shape(g, mode, d)
+    d, dims, needed_K = model_shape(g, mode)
     if spec.K < needed_K:
         raise MomentOrderError(
             f"moment spec provides K={spec.K} but the model needs {needed_K}"
@@ -221,45 +217,37 @@ def build_model(
     def at(e: Expr) -> Value:
         return eval_numeric(e, env) if numeric else substitute(e, point, kernels)
 
-    def variance_function(f: Expr) -> Expr:
-        slopes = [(i, fi) for i in range(1, d + 1) if (fi := differentiate(f, i, kernels)) != ZERO]
-        if not slopes:
-            raise ModelError("zero asymptotic variance: statistic has no slope")
-        f2 = expr_add(*[mul(fi, fj, sub(Var(i + j), mul(Var(i), Var(j))))
-                        for i, fi in slopes for j, fj in slopes])
-        kernels.register(f2)
-        return f2
-
-    h2 = variance_function(g)
-    h2_h = h2 if h is g else variance_function(h)
-    g_at_mu, h2_at_mu = at(h), at(h2_h)
+    slopes = [(i, hi) for i in range(1, d + 1) if (hi := differentiate(h, i, kernels)) != ZERO]
+    if not slopes:
+        raise ModelError("zero asymptotic variance: statistic has no slope")
+    h2 = expr_add(*[mul(hi, hj, sub(Var(i + j), mul(Var(i), Var(j))))
+                    for i, hi in slopes for j, hj in slopes])
+    kernels.register(h2)
+    h_at_mu, h2_at_mu = at(h), at(h2)
     plain = mode is Mode.NONSTUDENTIZED
     if numeric:
         if not (math.isfinite(h2_at_mu) and h2_at_mu > 0):
             raise ModelError(f"zero or invalid asymptotic variance {h2_at_mu}")
         sigma_a: Value = math.sqrt(h2_at_mu)
-        g_at_mu = as_expr(g_at_mu)
+        h_at_mu = as_expr(h_at_mu)
         normalizer = as_expr(1.0 / sigma_a) if plain else None
     else:
         # one ring per value, so an algebraic variance is canonical even when
-        # g(mu) is transcendental; a transcendental variance stays as is, and
+        # h(mu) is transcendental; a transcendental variance stays as is, and
         # its positivity is checked numerically
         def canonical(e: Expr) -> Expr:
             ring, (v,) = _ring_of((e,), kernels)
             return ring.finish(v)
 
-        g_at_mu, h2_at_mu = canonical(g_at_mu), canonical(h2_at_mu)
+        h_at_mu, h2_at_mu = canonical(h_at_mu), canonical(h2_at_mu)
         if h2_at_mu == ZERO:
             raise ModelError("zero asymptotic variance at the moment point")
         kernels.register(h2_at_mu)
         sigma_a = sqrt(h2_at_mu, kernels)
         normalizer = pow_(h2_at_mu, Fraction(-1, 2), kernels) if plain else None
 
-    def normalized(f: Expr, f2: Expr) -> Expr:
-        return mul(sub(f, g_at_mu), normalizer if plain else pow_(f2, Fraction(-1, 2), kernels))
-
-    a_expr = normalized(g, h2)
-    deriv_exprs: dict[tuple[int, ...], Expr] = {(): normalized(h, h2_h)}
+    a_expr = mul(sub(h, h_at_mu), normalizer if plain else pow_(h2, Fraction(-1, 2), kernels))
+    deriv_exprs: dict[tuple[int, ...], Expr] = {(): a_expr}
     deriv: dict[tuple[int, ...], Value] = {}
     for order in (1, 2, 3):
         for t in _sorted_tuples(dims, order):
@@ -271,7 +259,6 @@ def build_model(
         d=d,
         mode=mode,
         dims=dims,
-        h2_expr=h2,
         sigma_a=sigma_a,
         a_expr=a_expr,
         deriv=deriv,

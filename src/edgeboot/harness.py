@@ -1,7 +1,9 @@
 """Monte Carlo validation of the expansion-based CDF approximations.
 
 Simulates the normalized statistic sqrt(n) * A(power means) under the
-distribution of the model's moment spec (gaussian or exponential), compares
+distribution of the model's moment spec (gaussian or exponential): ``A`` is
+the model's ``a_expr``, the statistic its expansion differentiates, read over
+the centered power means ``mean((W - mu)^j)`` of the draws.  It compares
 its empirical CDF on a grid against the normal, first-order and second-order
 approximations, and emits one CSV row per grid point plus a trailing summary
 block of sup-distances (as ``#``-prefixed lines).  Raw and rearranged
@@ -100,9 +102,13 @@ def check_drawable(spec: MomentSpec) -> None:
 
 
 def _draw(spec: MomentSpec, rng: np.random.Generator, shape) -> np.ndarray:
+    """Draws of ``W - mu`` (``mu = spec.mean``), the variable whose power means
+    the model's statistic reads."""
     if spec.distribution == "gaussian":
-        return rng.normal(spec.mean, spec.scale, size=shape)
-    return rng.exponential(spec.scale, size=shape)
+        return rng.normal(0.0, spec.scale, size=shape)
+    w = rng.exponential(spec.scale, size=shape)
+    w -= spec.mean
+    return w
 
 
 def _worker_count() -> int:

@@ -319,8 +319,9 @@ def test_criterion_5_moment_oracles():
 
 def test_criterion_6_coefficient_evaluator_oracle():
     start = time.time()
-    model = build_model(parse("x2 - x1^2"), Mode.STUDENTIZED,
-                        gaussian_spec(0.3, 1.1, K=32), d=4)
+    # the fourth central moment: d = 4 power means, so 8 studentized slots
+    model = build_model(parse("x4 - 4*x1*x3 + 6*x1^2*x2 - 3*x1^4"), Mode.STUDENTIZED,
+                        gaussian_spec(0.3, 1.1, K=32))
     assert model.dims == 8
     fast = cumulant_coeffs(model)
     slow = cumulant_coeffs_naive(model)

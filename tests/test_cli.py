@@ -156,6 +156,21 @@ class TestMc:
             csvs.append(out_file.read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_a_huge_mean_moves_no_draw(self, capsys, tmp_path):
+        # the draws are of W - mu, the variable the centered statistic reads:
+        # at mu = 1e8 the raw power means lost every digit of the variance
+        # (sup_dist_edge2 0.51 against 0.0037 at 200,000 reps)
+        csvs = []
+        for mu in ("0", "1e8"):
+            out_file = tmp_path / f"mu_{mu}.csv"
+            code, _, err = run(capsys, "mc", "--stat", "variance", "--mode", "plain",
+                               "--moments", "gaussian", "--mu", mu, "--n", "20",
+                               "--reps", "20000", "--grid", "-3:3:0.1", "--seed", "3",
+                               "--out", str(out_file))
+            assert (code, err) == (0, "")
+            csvs.append(out_file.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_negative_sigma_is_an_error(self, capsys):
         # it once printed the results of sigma = 2
         code, out, err = run(capsys, "expand", "--stat", "variance", "--moments", "gaussian",
@@ -711,7 +726,7 @@ class TestConfigInput:
         ({"statistic": "g = x1\nlambda = 1/0\n"},
          "[statistic] lambda: '1/0' is not a number"),
         ({"statistic": "g = x1\nd = two\n"},
-         "[statistic] d: 'two' is not an integer"),
+         "[statistic] d: 'two' is not a number"),
         ({"run": "n = 2.5\n"}, "[run] n: '2.5' is not an integer"),
         ({"run": "alpha = five\n"}, "[run] alpha: 'five' is not a number"),
         ({"moments": "distribution = gaussian\nmu = 1/x\n"},
@@ -724,6 +739,27 @@ class TestConfigInput:
     def test_bad_number_names_its_place(self, capsys, tmp_path, part, want):
         code, out, err = run(capsys, "expand", "--stat", _config(tmp_path, **part))
         assert (code, out, err) == (1, "", f"error: {want}\n")
+
+    @pytest.mark.parametrize("argv, name, symbols", [
+        (["accel", "--stat", "ml_symmetric", "--param", "lamda=2"], "lamda", "lambda"),
+        (["accel", "--stat", "mean", "--lambda", "2"], "lambda", "none"),
+        (["bca", "--stat", "ml_general", "--param", "u=2", "--seed", "1", "--data", "-"],
+         "u", "L, U"),
+    ])
+    def test_param_outside_g_is_an_error(self, capsys, argv, name, symbols):
+        # it once ran with the parameter unread
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: parameter {name!r} is not a symbol of g (its symbols: {symbols})\n"
+
+    # a stale dimension override is a parameter g does not read
+    @pytest.mark.parametrize("key", ["dee", "d"])
+    def test_statistic_key_outside_g_is_an_error(self, capsys, tmp_path, key):
+        cfg = _config(tmp_path, statistic=f"g = x1\n{key} = 3\n")
+        for argv in (["expand"], ["bca", "--seed", "1", "--data", "-"]):
+            code, out, err = run(capsys, *argv, "--stat", cfg)
+            assert (code, out) == (1, "")
+            assert err == f"error: parameter {key!r} is not a symbol of g (its symbols: none)\n"
 
     def test_bad_param_names_its_flag(self, capsys):
         code, out, err = run(capsys, "expand", "--stat", "ml_symmetric",

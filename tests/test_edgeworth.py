@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from edgeboot.algebra import Bindings, eval_numeric, normalize, sym_equal
+from edgeboot.algebra import Bindings, differentiate, eval_numeric, normalize, sym_equal
 from edgeboot.expr import (
-    Const,
     Expr,
     KernelRegistry,
     Sym,
     Var,
     ONE,
+    Pow,
     ZERO,
     const,
     mul,
@@ -69,6 +69,13 @@ def ml_model(mode, lam=1.0, sigma=1.0, mu=0.0):
     return build_model(g, mode, spec, params={"lambda": lam}, kernels=reg)
 
 
+def studentizer(model) -> Expr:
+    """h^2 of a studentized model: the base of a_expr's ``^(-1/2)`` factor."""
+    (h2,) = [f.base for f in model.a_expr.factors
+             if isinstance(f, Pow) and f.exponent == Fraction(-1, 2)]
+    return h2
+
+
 def poly_coeffs_match(p: Poly, expected: dict[int, str]):
     for k in range(p.degree + 1):
         want = expected.get(k, "0")
@@ -83,7 +90,8 @@ class TestBuildModel:
         assert m.d == 1 and m.dims == 1
         assert normalize(m.sigma_a) == normalize(Sym("sigma"))
         assert normalize(m.deriv[(1,)]) == normalize(parse("1/sigma"))
-        assert normalize(m.a_expr - parse("(x1 - mu)/sigma")).is_zero
+        # over the centered power means: y1 = mean(W - mu) sits in slot 1
+        assert normalize(m.a_expr - parse("x1/sigma")).is_zero
 
     def test_algebraic_variance_canonical_beside_transcendental_g(self):
         # g(mu) = mu + exp(1) stays an expression; h2(mu) = sigma^2 still
@@ -96,16 +104,12 @@ class TestBuildModel:
         m = build_model(parse("x2 - x1^2"), Mode.STUDENTIZED, symbolic_spec(16))
         assert m.d == 2 and m.dims == 4
         target = parse("x4 - 4*x1*x3 + 8*x1^2*x2 - 4*x1^4 - x2^2")
-        assert normalize(m.h2_expr - target).is_zero
+        assert normalize(studentizer(m) - target).is_zero
 
     def test_ml_sigma(self):
         for lam in (1.0, 2.0, 3.0):
             m = ml_model(Mode.NONSTUDENTIZED, lam=lam)
             assert abs(m.sigma_a**2 - lam**2 * math.exp(-lam**2) / math.pi) < 1e-12
-
-    def test_dimension_override(self):
-        m = build_model(parse("x2 - x1^2"), Mode.STUDENTIZED, gaussian_spec(0.0, 1.0, 32), d=4)
-        assert m.dims == 8
 
     def test_zero_variance(self):
         with pytest.raises(ModelError):
@@ -577,47 +581,48 @@ class TestOneModelPath:
         g, params, reg = _fold_statistic(stat)
         spec = _FOLD_SPECS[spec_name](model_shape(g, mode)[2])
         got = build_model(g, mode, spec, params=params, kernels=reg)
-        g, params, reg = _fold_statistic(stat)
-        want = build_model_two_branch(g, mode, spec, params=params, kernels=reg)
-        want_reg = reg
-        # the table is taken in the centered basis, so for a nonzero mean the
+        # the model is taken in the centered basis, so for a nonzero mean the
         # reference gets the same centered statistic and the spec shifted to it
-        table = want
+        h, params, reg = _fold_statistic(stat)
         if as_expr(spec.mean) != ZERO:
-            h, params, reg = _fold_statistic(stat)
             h = edgeworth._centered(h, as_expr(spec.mean), reg)
-            table = build_model_two_branch(h, mode, edgeworth._at_mean_zero(spec),
-                                           params=params, kernels=reg)
+        want = build_model_two_branch(h, mode, edgeworth._at_mean_zero(spec),
+                                      params=params, kernels=reg)
         assert got.spec == spec
         assert (got.d, got.dims) == (want.d, want.dims)
-        assert got.h2_expr == want.h2_expr
-        if spec.is_symbolic and stat.startswith("ml_"):
-            # g(mu) comes from the centered point: the same value, a new form
-            assert sym_equal(got.a_expr, want.a_expr)
-        elif table is not want and not spec.is_symbolic:
-            # g(mu) is h at the shifted point, in the reference's formula
-            shifted = edgeworth._at_mean_zero(spec)
-            g_mu = eval_numeric(h, Bindings(params, {i: raw_moment(shifted, i)
-                                                     for i in range(1, 2 * got.d + 1)}))
-            normalizer = (Const(Fraction(1.0 / table.sigma_a)) if mode is Mode.NONSTUDENTIZED
-                          else pow_(want.h2_expr, Fraction(-1, 2), want_reg))
-            assert got.a_expr == mul(sub(g, Const(Fraction(float(g_mu)))), normalizer)
-        else:
-            assert got.a_expr == want.a_expr
-        assert _same(got.sigma_a, table.sigma_a)
-        assert list(got.deriv) == list(table.deriv)
-        for t, value in table.deriv.items():
+        # one statistic: h(mu) and, studentized, h's variance function
+        assert got.a_expr == want.a_expr
+        assert _same(got.sigma_a, want.sigma_a)
+        assert list(got.deriv) == list(want.deriv)
+        for t, value in want.deriv.items():
             assert _same(got.deriv[t], value), t
+
+    @pytest.mark.parametrize("spec_name", ["gaussian_1.3_0.7", "exponential"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("stat", list(_FOLD_STATS))
+    def test_table_is_of_a_expr(self, stat, mode, spec_name):
+        # a_expr is the statistic the table differentiates: over the centered
+        # means, read at the centered point
+        g, params, reg = _fold_statistic(stat)
+        spec = _FOLD_SPECS[spec_name](model_shape(g, mode)[2])
+        m = build_model(g, mode, spec, params=params, kernels=reg)
+        shifted = edgeworth._at_mean_zero(spec)
+        env = Bindings(params, {j: raw_moment(shifted, j) for j in range(1, 2 * m.d + 1)})
+        for i in range(1, m.dims + 1):
+            want = eval_numeric(differentiate(m.a_expr, i, m.kernels), env)
+            assert _same(m.deriv[(i,)], want), i
+
+    def test_mean_folds_its_constants(self):
+        # (1.3 + y1 - 1.3)/0.7: the mean's exact rational cancels
+        m = build_model(parse("x1"), Mode.NONSTUDENTIZED, gaussian_spec(1.3, 0.7, 8))
+        assert m.a_expr == mul(Var(1), as_expr(1.0 / m.sigma_a))
 
     def test_shape(self):
         g = parse("x2 - x1^2")
         assert model_shape(g, Mode.NONSTUDENTIZED) == (2, 2, 8)
         assert model_shape(g, Mode.STUDENTIZED) == (2, 4, 16)
-        assert model_shape(g, Mode.STUDENTIZED, 3) == (3, 6, 24)
         with pytest.raises(ModelError, match="at least x1"):
             model_shape(parse("1"), Mode.NONSTUDENTIZED)
-        with pytest.raises(ModelError, match="below arity 2"):
-            model_shape(g, Mode.NONSTUDENTIZED, 1)
 
     def test_zero_variance_at_the_moment_point(self):
         # d(x1^2)/dx1 = 2 x1 vanishes at mean 0, with the scale symbolic

@@ -1,7 +1,8 @@
 """The two-branch build_model (separate numeric and symbolic point dicts and
 derivative loops) that the one-evaluator version replaced, kept verbatim as
 its reference.  The one edit: the StatModel it returns has no ``g_at_mu``
-field any more, so that keyword is dropped from the constructor call."""
+or ``h2_expr`` field any more, so those keywords are dropped from the
+constructor call."""
 
 from __future__ import annotations
 
@@ -147,7 +148,6 @@ def build_model_two_branch(
         d=d,
         mode=mode,
         dims=dims,
-        h2_expr=h2,
         sigma_a=sigma_a,
         a_expr=a_expr,
         deriv=deriv,
