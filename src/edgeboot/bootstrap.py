@@ -12,9 +12,12 @@ The bias correction is ``m = Phi^{-1}(H(theta_hat))`` with ``H`` the weak
 (ties count as <=) bootstrap CDF, and quantiles use the inf-definition
 ``H^{-1}(p)`` = the ceil(p*B)-th order statistic.  Undefined replicates
 (NaN statistic values) are never silently redrawn; they are excluded from
-``H`` and reported in the result.  The acceleration comes from the model at
-the empirical moments, :func:`edgeboot.edgeworth.accel_constant` over
-:func:`edgeboot.moments.empirical_spec`, the formula ``accel`` prints.
+``H`` and reported in the result.
+
+An interval reads one model, the statistic fitted to the sample (over
+:func:`edgeboot.moments.empirical_spec`): ``theta_hat`` and the replicates are
+its centered ``h`` over the power means of ``data - mean``, and the acceleration
+is its :func:`edgeboot.edgeworth.accel_constant`, the formula ``accel`` prints.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from .algebra import Bindings, differentiate, eval_numeric, norm_cdf, norm_ppf  # noqa: F401
 from .edgeworth import (Mode, Statistic, StatModel, accel_constant, build_model,
                         model_shape)
-from .expr import arity
 from .harness import _BLOCK_BYTES, _EVAL_ROWS, power_means, replicate_values
 from .moments import empirical_spec
 
@@ -90,19 +92,17 @@ def _resample_indices(n: int, B: int, seed: int, first_chunk: int = 0) -> np.nda
 
 
 def resample_distribution(
-    data: Sequence[float], cfg: BootConfig, model: StatModel | Statistic
+    data: Sequence[float], cfg: BootConfig, model: StatModel
 ) -> tuple[np.ndarray, int]:
-    """Sorted replicate distribution and the count of undefined replicates.
+    """Sorted replicate distribution and the count of undefined replicates:
+    ``model.h`` over the power means of resamples of ``data - model.spec.mean``.
 
     In exhaustive mode all n^n equally likely resamples are enumerated
     (testing oracle; removes Monte Carlo noise)."""
-    w = np.asarray(data, dtype=float)
+    w = np.asarray(data, dtype=float) - float(model.spec.mean)
     n = w.size
     if n < 2:
         raise BootstrapError("need at least two observations")
-    d = arity(model.g)
-    if d < 1:
-        raise BootstrapError("statistic must depend on at least x1")
     if cfg.exhaustive:
         total = n**n
         if total > 20_000_000:
@@ -122,9 +122,9 @@ def resample_distribution(
     def fill(k: int) -> dict[int, np.ndarray]:
         start = k * _EVAL_ROWS
         return power_means(lambda lo, size: w[rows(start + lo, size)],
-                           min(_EVAL_ROWS, total - start), step, d)
+                           min(_EVAL_ROWS, total - start), step, model.d)
 
-    reps, nan_count = replicate_values(model.g, model.params, total,
+    reps, nan_count = replicate_values(model.h, model.params, total,
                                        -(-total // _EVAL_ROWS), fill)
     if reps.size == 0:
         raise BootstrapError("all bootstrap replicates are undefined")
@@ -142,21 +142,18 @@ def h_inverse_rank(B: int, p: float) -> int:
     return min(max(int(math.ceil(p * B)), 1), B)
 
 
-def accel_plugin(data: Sequence[float], model: StatModel | Statistic) -> float:
-    """Plug-in acceleration ``a = A / (6 sigma^3 sqrt(n))``: the model's
-    :func:`~edgeboot.edgeworth.accel_constant` at the empirical moments of
-    ``data``; invariant to the statistic's scaling.
+def accel_plugin(data: Sequence[float], model: StatModel) -> float:
+    """Plug-in acceleration ``a = A / (6 sigma^3 sqrt(n))``: the
+    :func:`~edgeboot.edgeworth.accel_constant` of ``model``, the statistic
+    fitted to ``data`` (over :func:`~edgeboot.moments.empirical_spec`);
+    invariant to the statistic's scaling.
 
     The model is expanded at the sample mean, where every odd central moment
     of a symmetric sample is an exact zero, and so is the mean's ``a``."""
-    w = np.asarray(data, dtype=float)
-    n = w.size
-    if n < 2:
-        raise BootstrapError("need at least two observations")
-    spec = empirical_spec(w, model_shape(model.g, Mode.NONSTUDENTIZED)[2])
-    fitted = build_model(model.g, Mode.NONSTUDENTIZED, spec, params=model.params,
-                         kernels=model.kernels)
-    return accel_constant(fitted).a_over_sqrtn / math.sqrt(n)
+    if model.spec.distribution != "empirical":
+        raise BootstrapError("the plug-in acceleration needs the model fitted to the data "
+                             f"(empirical moments), not {model.spec.distribution} ones")
+    return accel_constant(model).a_over_sqrtn / math.sqrt(len(data))
 
 
 def bca_from_replicates(
@@ -206,13 +203,15 @@ def bca_from_replicates(
     )
 
 
-def bca_interval(data: Sequence[float], cfg: BootConfig,
-                 model: StatModel | Statistic) -> BcaResult:
-    """Nonparametric BCA interval for the statistic of ``model``, with the
-    acceleration of :func:`accel_plugin`."""
+def bca_interval(data: Sequence[float], cfg: BootConfig, stat: Statistic) -> BcaResult:
+    """Nonparametric BCA interval for ``stat``: ``theta_hat``, the replicates
+    and the acceleration all come from its model fitted to ``data``."""
     w = np.asarray(data, dtype=float)
-    means = power_means(lambda lo, size: w[None, :], 1, 1, arity(model.g))
-    theta_hat = float(np.ravel(eval_numeric(model.g, Bindings(dict(model.params), means)))[0])
-    reps, nan_count = resample_distribution(data, cfg, model)
-    return bca_from_replicates(theta_hat, reps, accel_plugin(data, model), cfg.alpha,
+    spec = empirical_spec(w, model_shape(stat.g, Mode.NONSTUDENTIZED)[2])
+    model = build_model(stat.g, Mode.NONSTUDENTIZED, spec, params=stat.params,
+                        kernels=stat.kernels)
+    means = power_means(lambda lo, size: (w - spec.mean)[None, :], 1, 1, model.d)
+    theta_hat = float(np.ravel(eval_numeric(model.h, Bindings(dict(model.params), means)))[0])
+    reps, nan_count = resample_distribution(w, cfg, model)
+    return bca_from_replicates(theta_hat, reps, accel_plugin(w, model), cfg.alpha,
                                nan_count)

@@ -258,7 +258,7 @@ def _cmd_bca(args) -> int:
     from .bootstrap import MAX_BOOT_B, BootConfig
 
     cfg = load_config(args.stat)
-    # the interval reads only the data and the statistic: no moment model
+    # the interval reads only the data and the statistic, fitted to the data's moments
     stat = statistic_from_config(cfg, _param_override(args))
     data = _read_column(args.data)
     alpha = _run_setting(args, cfg, "alpha")

@@ -86,12 +86,10 @@ class Mode(enum.Enum):
 
     @staticmethod
     def parse(text: str) -> "Mode":
-        t = text.strip().lower()
-        if t in ("plain", "nonstudentized", "non-studentized", "0"):
-            return Mode.NONSTUDENTIZED
-        if t in ("studentized", "s"):
-            return Mode.STUDENTIZED
-        raise ModelError(f"unknown mode {text!r}")
+        try:
+            return Mode(text.strip().lower())
+        except ValueError:
+            raise ModelError(f"unknown mode {text!r}") from None
 
 
 @dataclass
@@ -99,12 +97,12 @@ class StatModel:
     """A statistic g over d power-means plus its normalized function."""
 
     g: Expr
+    h: Expr  # g over y_j = mean((W - mu)^j), mu = spec.mean; g itself at mu = 0
     d: int
     mode: Mode
     dims: int
     sigma_a: Value  # the asymptotic standard deviation, at the moment point
-    # the normalized statistic over the centered power means y1..y_dims of
-    # W - mu (mu = spec.mean); deriv is its table at the moment point
+    # the normalized h over y1..y_dims; deriv is its table at the moment point
     a_expr: Expr
     deriv: dict[tuple[int, ...], Value]
     spec: MomentSpec  # the caller's spec: deriv is taken at _at_mean_zero(spec)
@@ -116,8 +114,8 @@ class StatModel:
 
 @dataclass(frozen=True)
 class Statistic:
-    """All the bootstrap reads of a statistic: g, its parameter values and
-    its square-root kernels.  A :class:`StatModel` serves as well."""
+    """What a bootstrap interval reads of a statistic to fit its model: g, its
+    parameter values and its square-root kernels.  A :class:`StatModel` serves as well."""
 
     g: Expr
     params: Mapping[str, float]
@@ -256,6 +254,7 @@ def build_model(
 
     return StatModel(
         g=g,
+        h=h,
         d=d,
         mode=mode,
         dims=dims,

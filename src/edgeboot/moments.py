@@ -231,7 +231,7 @@ def cross_moment(spec: MomentSpec, indices: tuple[int, ...]) -> Value:
 # ---------------------------------------------------------------------------
 
 # the [moments] keys some distribution reads
-MOMENT_KEYS = ("distribution", "k", "mu", "sigma", "scale", "data_file", "gamma1", "kappa1",
+MOMENT_KEYS = ("distribution", "mu", "sigma", "scale", "data_file", "gamma1", "kappa1",
                "moments")
 # the location and scale keys each distribution reads
 SCALE_KEYS = {"gaussian": ("mu", "sigma"), "custom": ("mu", "sigma"), "exponential": ("scale",),
@@ -248,17 +248,17 @@ def parse_number(text: str, place: str, convert=lambda t: float(Fraction(t))):
         raise ValueError(f"{place}: {text!r} is not {kind}") from None
 
 
-def spec_from_config(section: Mapping[str, str], required_K: int) -> MomentSpec:
-    """Build a spec from a ``[moments]`` config section (lower-case keys).
+def spec_from_config(section: Mapping[str, str], K: int) -> MomentSpec:
+    """Build a spec of order ``K``, the caller's requirement, from a
+    ``[moments]`` config section (lower-case keys).
 
     ``distribution`` is one of gaussian | symbolic | empirical | custom |
-    exponential.  ``K`` defaults to the caller's requirement (4 * Dims).
+    exponential.
     """
     def num(key: str, default: str) -> float:
         return parse_number(section.get(key, default), f"[moments] {key}")
 
     dist = section.get("distribution", "symbolic").strip().lower()
-    K = max(parse_number(section.get("k", required_K), "[moments] k", int), required_K)
     if dist == "symbolic":
         return symbolic_spec(K)
     if dist == "gaussian":

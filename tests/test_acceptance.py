@@ -48,6 +48,7 @@ from edgeboot.expr import (
 from edgeboot.harness import McConfig, compare_and_emit, parse_grid
 from edgeboot.moments import (
     cross_moment,
+    empirical_spec,
     exponential_spec,
     gaussian_spec,
     symbolic_spec,
@@ -367,7 +368,8 @@ def test_criterion_8_bca_enumeration_oracle():
                         gaussian_spec(0.0, 1.0, 8))
     cfg = BootConfig(B=27, seed=0, alpha=0.1, exhaustive=True)
     reps, _ = resample_distribution([1.0, 2.0, 3.0], cfg, model)
-    a_hat = accel_plugin([1.0, 2.0, 3.0], model)
+    fitted = build_model(model.g, Mode.NONSTUDENTIZED, empirical_spec([1.0, 2.0, 3.0], 8))
+    a_hat = accel_plugin([1.0, 2.0, 3.0], fitted)
     assert a_hat == 0.0
     res = bca_from_replicates(2.0, reps, a_hat, 0.1)
 

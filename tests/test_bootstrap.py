@@ -20,16 +20,24 @@ from edgeboot.bootstrap import (
     resample_distribution,
 )
 from edgeboot.edgeworth import Mode, accel_constant, build_model
-from edgeboot.expr import KernelRegistry, Var, arity, parse
+from edgeboot.expr import KernelRegistry, Var, parse
 from edgeboot.moments import empirical_spec, gaussian_spec, powers
 
 
 def _one_shot(model, rows):
-    """Oracle: the statistic at the power means of every row, in one evaluation."""
-    means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(rows, arity(model.g)), start=1)}
+    """Oracle: the centered statistic at the power means of every row less the
+    model's mean, in one evaluation."""
+    centered = rows - model.spec.mean
+    means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(centered, model.d), start=1)}
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = eval_numeric(model.g, Bindings(dict(model.params), means))
+        out = eval_numeric(model.h, Bindings(dict(model.params), means))
     return np.asarray(out, dtype=float).reshape(len(rows))
+
+
+def _fitted(stat, data):
+    """The plain model of ``stat`` at the empirical moments of ``data``."""
+    return build_model(stat.g, Mode.NONSTUDENTIZED, empirical_spec(data, 8),
+                       params=stat.params, kernels=stat.kernels)
 
 
 @pytest.fixture(scope="module")
@@ -155,27 +163,35 @@ class TestQuantileConvention:
 
 class TestAccelPlugin:
     def test_mean_zero_skewness(self, mean_model):
-        assert abs(accel_plugin([1.0, 2.0, 3.0], mean_model)) < 1e-15
+        data = [1.0, 2.0, 3.0]
+        assert abs(accel_plugin(data, _fitted(mean_model, data))) < 1e-15
 
     def test_mean_matches_sample_skewness(self, mean_model):
         data = [0.0, 0.0, 0.0, 1.0]
         skew = empirical_spec(data, 3).std_moments[3]
         expected = skew / (6.0 * math.sqrt(len(data)))
-        assert abs(accel_plugin(data, mean_model) - expected) < 1e-14
+        assert abs(accel_plugin(data, _fitted(mean_model, data)) - expected) < 1e-14
 
     def test_variance_converges_to_gaussian_value(self, variance_model):
         rng = np.random.default_rng(777)
         n = 10_000
         data = rng.normal(0.0, 1.0, size=n)
         target = math.sqrt(2.0) / (3.0 * math.sqrt(n))
-        got = accel_plugin(data, variance_model)
+        got = accel_plugin(data, _fitted(variance_model, data))
         assert abs(got - target) <= 0.1 * abs(target)
 
-    def test_is_the_model_acceleration_at_the_empirical_moments(self, variance_model):
+    def test_interval_takes_the_model_acceleration_at_the_empirical_moments(self,
+                                                                           variance_model):
         data = np.random.default_rng(5).exponential(1.0, 40)
         spec = empirical_spec(data, 8)
         a = accel_constant(build_model(variance_model.g, Mode.NONSTUDENTIZED, spec))
-        assert accel_plugin(data, variance_model) == a.a_over_sqrtn / math.sqrt(data.size)
+        res = bca_interval(data, BootConfig(B=199, seed=3, alpha=0.1), variance_model)
+        assert res.a_hat == a.a_over_sqrtn / math.sqrt(data.size)
+
+    def test_unfitted_model_is_an_error(self, variance_model):
+        # a model over other moments would give an acceleration, but not the plug-in one
+        with pytest.raises(BootstrapError, match="fitted to the data"):
+            accel_plugin([1.0, 2.0, 4.0], variance_model)
 
     @pytest.mark.parametrize("c", [0.0, 1e3])
     def test_offset_data_give_the_projection_value(self, variance_model, c):
@@ -185,7 +201,7 @@ class TestAccelPlugin:
         data = np.random.default_rng(5).exponential(1.0, 40)
         proj = (data - data.mean()) ** 2 - np.mean((data - data.mean()) ** 2)
         want = np.mean(proj**3) / (6.0 * np.mean(proj**2) ** 1.5 * math.sqrt(data.size))
-        got = accel_plugin(data + c, variance_model)
+        got = accel_plugin(data + c, _fitted(variance_model, data + c))
         assert abs(got - want) <= 1e-9 * abs(want)
 
 
@@ -229,7 +245,7 @@ class TestBcaInterval:
         cfg = BootConfig(B=499, seed=31, alpha=0.1)
         reps, _ = resample_distribution(data, cfg, mean_model)
         theta = float(np.mean(data))
-        a_hat = accel_plugin(data, mean_model)
+        a_hat = accel_plugin(data, _fitted(mean_model, data))
         base = bca_from_replicates(theta, reps, a_hat, 0.1)
         mapped = bca_from_replicates(
             math.exp(theta), np.sort(np.exp(reps)), a_hat, 0.1
@@ -248,6 +264,25 @@ class TestBcaInterval:
         assert r1.lower <= r1.upper
         assert r1.nan_count == 0
 
+    def test_theta_hat_moves_with_the_data(self, mean_model):
+        data = np.random.default_rng(6).exponential(1.0, 30)
+        cfg = BootConfig(B=199, seed=2, alpha=0.1)
+        base = bca_interval(data, cfg, mean_model).theta_hat
+        shifted = bca_interval(data + 1e3, cfg, mean_model).theta_hat
+        assert shifted == pytest.approx(base + 1e3, rel=1e-12)
+
+    def test_one_model_per_interval(self, variance_model, monkeypatch):
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args[2].distribution)
+            return build_model(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrap, "build_model", counting)
+        data = np.random.default_rng(4).exponential(1.0, 20)
+        bca_interval(data, BootConfig(B=199, seed=1, alpha=0.1), variance_model)
+        assert builds == ["empirical"]
+
     def test_config_validation(self):
         with pytest.raises(BootstrapError):
             BootConfig(B=0, seed=1, alpha=0.1)
@@ -255,9 +290,11 @@ class TestBcaInterval:
             BootConfig(B=10, seed=1, alpha=1.5)
 
     def test_undefined_replicates_reported_not_redrawn(self, sqrt_model):
+        # the interval's replicates are those of the model fitted to the data:
+        # sqrt(y1 + mean) over the data less its mean
         data = [4.0, 1.0, -3.5, 2.0, -2.5, 3.0]
         cfg = BootConfig(B=400, seed=13, alpha=0.1)
-        reps, nan_count = resample_distribution(data, cfg, sqrt_model)
+        reps, nan_count = resample_distribution(data, cfg, _fitted(sqrt_model, data))
         assert nan_count > 0
         assert reps.size + nan_count == 400
         assert np.isfinite(reps).all()

@@ -444,6 +444,9 @@ class TestPinnedOutput:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
+    # recorded when the replicates came to be read over the data less its
+    # mean: lower, upper and percentile_lower moved in their last digits
+    # (296 B before), the same order statistics
     def test_bca_json(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("value\n" + "\n".join(
@@ -454,9 +457,27 @@ class TestPinnedOutput:
                            "--B", "999", "--seed", "11", "--out", str(out_file))
         assert (code, err) == (0, "")
         text = out_file.read_bytes()
-        assert len(text) == 296
+        assert len(text) == 295
         assert hashlib.sha256(text).hexdigest() == (
-            "94a37d73c1c72ba56507317c20ce01ac28206eaeb387a940b3aaef4760599b71")
+            "5d6d1cb0e6de34d4b6b27d3716c44634ad266d2e0a1f408818ba561267f64379")
+
+    # the interval once read g over the raw power means of the data: at
+    # c = 1e8 the variance printed theta_hat = -2.0 and BCA [-8, 4]
+    @pytest.mark.parametrize("c", [1e3, 1e8])
+    def test_bca_does_not_depend_on_the_location(self, capsys, tmp_path, c):
+        import numpy as np
+
+        w = np.random.default_rng(5).exponential(1.0, 50)
+        reports = []
+        for shift in (0.0, c):
+            data = tmp_path / "data.csv"
+            data.write_text("".join(f"{v!r}\n" for v in (w + shift).tolist()))
+            code, out, err = run(capsys, "bca", "--stat", "variance", "--data", str(data),
+                                 "--B", "2000", "--seed", "5", "--format", "json")
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        for key in ("theta_hat", "lower", "upper", "percentile_lower", "percentile_upper"):
+            assert reports[1][key] == pytest.approx(reports[0][key], rel=1e-6), key
 
 
     # every preset and mode over numeric moments, as `expand` prints them
@@ -662,21 +683,13 @@ def _config(tmp_path, statistic="g = x1\n", moments="", run=""):
 class TestConfigInput:
     def test_moment_keys_are_case_insensitive(self, capsys, tmp_path):
         outs = []
-        for key, k in (("gamma1", "k"), ("Gamma1", "K")):
-            cfg = _config(tmp_path, moments=f"distribution = custom\n{key} = 2\n{k} = 40\n"
-                          f"moments = {', '.join(['0'] * 36)}\n")
+        for key in ("gamma1", "Gamma1"):
+            cfg = _config(tmp_path, moments=f"distribution = custom\n{key} = 2\n")
             code, out, err = run(capsys, "expand", "--stat", cfg)
             assert (code, err) == (0, "")
             outs.append(out)
         assert outs[0] == outs[1]
         assert "k31 = 2.0\n" in outs[1] and "A = 2.0\n" in outs[1]
-
-    def test_moment_k_is_read_in_any_case(self, capsys, tmp_path):
-        # 4 orders are all the plain mean needs; K = 40 asks for 36 more
-        cfg = _config(tmp_path, moments="distribution = custom\nK = 40\n")
-        code, out, err = run(capsys, "expand", "--stat", cfg)
-        assert (code, out) == (1, "")
-        assert err == "error: custom spec provides order 4 but K=40 is required\n"
 
     def test_unknown_moment_key_is_one_error_line(self, capsys, tmp_path):
         cfg = _config(tmp_path, moments="distribution = gaussian\nsigm = 2\n")
@@ -684,6 +697,20 @@ class TestConfigInput:
         assert (code, out) == (1, "")
         assert err.startswith("error: unknown [moments] key 'sigm'; known keys: distribution")
         assert err.count("\n") == 1
+
+    def test_moment_k_is_an_unknown_key(self, capsys, tmp_path):
+        # the order of the moments is the model's own need; k never changed it
+        cfg = _config(tmp_path, moments="distribution = gaussian\nk = 8\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown [moments] key 'k'; known keys: distribution, mu,")
+
+    # the mode is plain or studentized, as --mode takes it; "s" once meant studentized
+    @pytest.mark.parametrize("mode", ["s", "nonstudentized", "0"])
+    def test_unknown_mode_is_one_error_line(self, capsys, tmp_path, mode):
+        cfg = _config(tmp_path, statistic=f"g = x1\nmode = {mode}\n")
+        code, out, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, out, err) == (1, "", f"error: unknown mode {mode!r}\n")
 
     def test_repeated_moment_key(self, capsys, tmp_path):
         cfg = _config(tmp_path, moments="distribution = custom\ngamma1 = 1\nGamma1 = 2\n")
@@ -731,8 +758,6 @@ class TestConfigInput:
         ({"run": "alpha = five\n"}, "[run] alpha: 'five' is not a number"),
         ({"moments": "distribution = gaussian\nmu = 1/x\n"},
          "[moments] mu: '1/x' is not a number"),
-        ({"moments": "distribution = custom\nk = 8.5\n"},
-         "[moments] k: '8.5' is not an integer"),
         ({"moments": "distribution = custom\nmoments = 0, zero\n"},
          "[moments] moments: 'zero' is not a number"),
     ])

@@ -1,8 +1,9 @@
 """The two-branch build_model (separate numeric and symbolic point dicts and
 derivative loops) that the one-evaluator version replaced, kept verbatim as
-its reference.  The one edit: the StatModel it returns has no ``g_at_mu``
-or ``h2_expr`` field any more, so those keywords are dropped from the
-constructor call."""
+its reference.  The two edits are in the constructor call of the StatModel
+it returns: the ``g_at_mu`` and ``h2_expr`` keywords are dropped with their
+fields, and the ``h`` field, added later, is ``g``, the statistic the
+reference differentiates."""
 
 from __future__ import annotations
 
@@ -145,6 +146,7 @@ def build_model_two_branch(
 
     return StatModel(
         g=g,
+        h=g,
         d=d,
         mode=mode,
         dims=dims,
