@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import Bindings, eval_numeric, norm_cdf
 from .edgeworth import Poly, StatModel, cdf_eval
-from .moments import MomentSpec, powers
+from .moments import MomentSpec
 from .rearrange import clip01, is_nondecreasing, rearrange_increasing
 
 _CHUNK_ROWS = 65536
@@ -101,14 +101,15 @@ def check_drawable(spec: MomentSpec) -> None:
         raise HarnessError(f"mc draws from gaussian or exponential moments, not {kind} ones")
 
 
-def _draw(spec: MomentSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Draws of ``W - mu`` (``mu = spec.mean``), the variable whose power means
-    the model's statistic reads."""
-    if spec.distribution == "gaussian":
-        return rng.normal(0.0, spec.scale, size=shape)
-    w = rng.exponential(spec.scale, size=shape)
-    w -= spec.mean
-    return w
+def _draw(spec: MomentSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with draws of ``W - mu``, the variable the statistic reads, and return
+    it: the numbers of ``rng.normal(0, scale)`` or ``rng.exponential(scale) - mu``."""
+    gaussian = spec.distribution == "gaussian"
+    (rng.standard_normal if gaussian else rng.standard_exponential)(out=out)
+    out *= spec.scale
+    if not gaussian:
+        out -= spec.mean
+    return out
 
 
 def _worker_count() -> int:
@@ -122,13 +123,19 @@ def _worker_count() -> int:
 
 def power_means(draw, rows: int, step: int, d: int) -> dict[int, np.ndarray]:
     """Row means of the first ``d`` powers of ``rows`` rows, where ``draw(lo, size)``
-    gives rows ``lo`` to ``lo + size`` and is called in order, ``step`` rows at a
-    time.  A row's means do not depend on how many rows share its block."""
+    gives rows ``lo`` to ``lo + size``, called in order ``step`` rows at a time: the
+    ``einsum`` row sums of ``w, w*w, (w*w)*w, ...`` over n, the same bits in any blocks."""
     means = {i: np.empty(rows) for i in range(1, d + 1)}
     for lo in range(0, rows, step):
         w = draw(lo, min(step, rows - lo))
-        for i, wp in enumerate(powers(w, d), start=1):
-            wp.mean(axis=1, out=means[i][lo:lo + len(w)])
+        buf = np.empty_like(w) if lo == 0 else buf[:len(w)]
+        wp = w
+        for i, m in means.items():
+            np.einsum("ij->i", wp, out=m[lo:lo + len(w)])
+            if i < d:
+                wp = np.multiply(wp, w, out=buf)
+    for m in means.values():
+        m /= w.shape[1]
     return means
 
 
@@ -136,9 +143,9 @@ def _chunk_means(cfg: McConfig, spec: MomentSpec, dims: int, c: int) -> dict[int
     """Power means of chunk ``c``'s draws from ``spec``, drawn in row blocks from
     one generator (the same numbers as one draw of the chunk)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-    return power_means(lambda lo, size: _draw(spec, rng, (size, cfg.n)),
-                       min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS),
-                       max(1, _BLOCK_BYTES // (8 * cfg.n)), dims)
+    rows = min(_CHUNK_ROWS, cfg.reps - c * _CHUNK_ROWS)
+    block = np.empty((min(rows, max(1, _BLOCK_BYTES // (8 * cfg.n))), cfg.n))
+    return power_means(lambda lo, size: _draw(spec, rng, block[:size]), rows, len(block), dims)
 
 
 def replicate_values(expr, params, total: int, tasks: int, fill,

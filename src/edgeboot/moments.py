@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .expr import Expr, ZERO, add, const, sym
 
@@ -184,14 +184,6 @@ def raw_moment(spec: MomentSpec, i: int) -> Value:
     if isinstance(total, float) and not math.isfinite(total):
         raise MomentError(f"raw moment of order {i} overflows a double")
     return total
-
-
-def powers(w: np.ndarray, d: int) -> Iterator[np.ndarray]:
-    """w, w*w, ..., the first d powers of w by repeated products."""
-    wp = None
-    for _ in range(d):
-        wp = w if wp is None else wp * w
-        yield wp
 
 
 @lru_cache(maxsize=16384)

@@ -21,14 +21,15 @@ from edgeboot.bootstrap import (
 )
 from edgeboot.edgeworth import Mode, accel_constant, build_model
 from edgeboot.expr import KernelRegistry, Var, parse
-from edgeboot.moments import empirical_spec, gaussian_spec, powers
+from edgeboot.moments import empirical_spec, gaussian_spec
+
+from reference_means import row_power_means
 
 
 def _one_shot(model, rows):
     """Oracle: the centered statistic at the power means of every row less the
     model's mean, in one evaluation."""
-    centered = rows - model.spec.mean
-    means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(centered, model.d), start=1)}
+    means = row_power_means(rows - model.spec.mean, model.d)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = eval_numeric(model.h, Bindings(dict(model.params), means))
     return np.asarray(out, dtype=float).reshape(len(rows))
@@ -270,6 +271,15 @@ class TestBcaInterval:
         base = bca_interval(data, cfg, mean_model).theta_hat
         shifted = bca_interval(data + 1e3, cfg, mean_model).theta_hat
         assert shifted == pytest.approx(base + 1e3, rel=1e-12)
+
+    def test_theta_hat_ties_its_identity_resample(self, variance_model):
+        # the 7^7 resamples hold the sample itself: theta_hat and that
+        # replicate read one row sum, so they are equal bit for bit and
+        # H(theta_hat), a weak count, keeps the tie
+        data = np.random.default_rng(9).exponential(1.0, 7)
+        res = bca_interval(data, BootConfig(B=1, seed=0, alpha=0.1, exhaustive=True),
+                           variance_model)
+        assert np.count_nonzero(res.H_hat == res.theta_hat) >= 1
 
     def test_one_model_per_interval(self, variance_model, monkeypatch):
         builds = []

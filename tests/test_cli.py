@@ -249,9 +249,9 @@ class TestMc:
         scales = set()
         draw = harness._draw
 
-        def spy(spec, rng, shape):
+        def spy(spec, rng, out):
             scales.add(spec.scale)
-            return draw(spec, rng, shape)
+            return draw(spec, rng, out)
 
         monkeypatch.setattr(harness, "_draw", spy)
         report = self._mc_report(capsys, tmp_path, "mean", "--moments", "exponential",
@@ -444,9 +444,11 @@ class TestPinnedOutput:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
-    # recorded when the replicates came to be read over the data less its
-    # mean: lower, upper and percentile_lower moved in their last digits
-    # (296 B before), the same order statistics
+    # recorded when the power means came to be einsum row sums: lower and
+    # upper moved in their last digit, the same order statistics, and
+    # theta_hat, m_hat, a_hat and the percentile endpoints did not move
+    # (before that, when the replicates came to be read over the data less
+    # its mean, lower, upper and percentile_lower moved, from 296 B)
     def test_bca_json(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("value\n" + "\n".join(
@@ -459,7 +461,7 @@ class TestPinnedOutput:
         text = out_file.read_bytes()
         assert len(text) == 295
         assert hashlib.sha256(text).hexdigest() == (
-            "5d6d1cb0e6de34d4b6b27d3716c44634ad266d2e0a1f408818ba561267f64379")
+            "013ff7899426fab2f491b4d66bbc440c9cfc25cc4b2065d7f2bccaca7e2fb508")
 
     # the interval once read g over the raw power means of the data: at
     # c = 1e8 the variance printed theta_hat = -2.0 and BCA [-8, 4]

@@ -24,8 +24,10 @@ from edgeboot.harness import (
     simulate_statistic_cdf,
     simulate_statistic_values,
 )
-from edgeboot.moments import MomentSpec, empirical_spec, exponential_spec, gaussian_spec, powers
+from edgeboot.moments import MomentSpec, empirical_spec, exponential_spec, gaussian_spec
 from edgeboot.rearrange import is_nondecreasing
+
+from reference_means import row_power_means
 
 
 @pytest.fixture(scope="module")
@@ -245,14 +247,62 @@ class TestValidation:
             McConfig(n=10, reps=100, grid=(0.0,), seed=1)
 
 
+class TestPowerMeans:
+    def test_powers_are_repeated_products(self):
+        # one-column rows: each mean is the power itself, bit for bit
+        w = np.array([[0.3], [-1.7], [2.0], [1e-3], [4.5], [-0.2]])
+        got = harness.power_means(lambda lo, size: w[lo:lo + size], 6, 4, 4)
+        want = [w, w * w, w * w * w, w * w * w * w]
+        assert sorted(got) == [1, 2, 3, 4]
+        for i, e in enumerate(want, start=1):
+            assert got[i].tobytes() == e.ravel().tobytes(), i
+
+    def test_no_powers(self):
+        assert harness.power_means(lambda lo, size: np.ones((size, 3)), 2, 2, 0) == {}
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 10, 50, 128, 129, 1000])
+    def test_block_geometry_changes_no_mean(self, n):
+        # a row's means are the same bits in blocks of 1, 2, 3 or all 37 rows,
+        # with each block at an odd element offset of its buffer or at none
+        rows = 37
+        w = np.random.default_rng(n).normal(size=(rows, n))
+        want = row_power_means(w, 4)
+        for step in (1, 2, 3, rows):
+            for offset in (0, 1, 3):
+                buf = np.empty(offset + step * n)
+
+                def draw(lo, size):
+                    block = buf[offset:offset + size * n].reshape(size, n)
+                    block[...] = w[lo:lo + size]
+                    return block
+
+                got = harness.power_means(draw, rows, step, 4)
+                for i in want:
+                    assert got[i].tobytes() == want[i].tobytes(), (step, offset, i)
+
+    @pytest.mark.parametrize("spec", [gaussian_spec(3.0, 2.5, 8),
+                                      exponential_spec(1.5, 8)])
+    def test_draw_fills_the_numbers_of_normal_and_exponential(self, spec):
+        # draws of W - mu: the gaussian's mean 3 moves none of them
+        out = np.empty((3, 7))
+        got = harness._draw(spec, np.random.default_rng(4), out)
+        rng = np.random.default_rng(4)
+        if spec.distribution == "gaussian":
+            want = rng.normal(0.0, spec.scale, size=out.shape)
+        else:
+            want = rng.exponential(spec.scale, size=out.shape) - spec.mean
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+
 def _serial_values(model, cfg):
     """The single-thread loop: draw, reduce and evaluate each chunk in turn."""
     chunks, excluded, produced, c = [], 0, 0, 0
     while produced < cfg.reps:
         rows = min(harness._CHUNK_ROWS, cfg.reps - produced)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-        w = harness._draw(model.spec, rng, (rows, cfg.n))
-        means = {i: wp.mean(axis=1) for i, wp in enumerate(powers(w, model.dims), start=1)}
+        w = harness._draw(model.spec, rng, np.empty((rows, cfg.n)))
+        means = row_power_means(w, model.dims)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             vals = eval_numeric(model.a_expr, Bindings(dict(model.params), means))
         vals = math.sqrt(cfg.n) * np.asarray(vals, dtype=float)
@@ -335,7 +385,7 @@ class TestWorkers:
 
     def test_worker_error_reaches_the_caller_and_threads_end(self, plain_mean_model,
                                                              monkeypatch):
-        def fail(spec, rng, shape):
+        def fail(spec, rng, out):
             raise HarnessError("draw failed")
 
         monkeypatch.setattr(harness, "_worker_count", lambda: 3)

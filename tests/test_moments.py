@@ -17,7 +17,6 @@ from edgeboot.moments import (
     empirical_spec,
     exponential_spec,
     gaussian_spec,
-    powers,
     raw_moment,
     spec_from_config,
     symbolic_spec,
@@ -376,16 +375,3 @@ class TestOneFormula:
                     assert _same(got, want), (name, t)
                     count += 1
         assert count == 142  # index tuples of 2 to 4 entries with sum <= 12
-
-
-class TestPowers:
-    def test_repeated_products(self):
-        w = np.array([[0.3, -1.7, 2.0], [1e-3, 4.5, -0.2]])
-        got = list(powers(w, 4))
-        want = [w, w * w, w * w * w, w * w * w * w]
-        assert len(got) == 4
-        for g, e in zip(got, want):
-            assert g.tobytes() == e.tobytes()
-
-    def test_no_powers(self):
-        assert list(powers(np.ones(3), 0)) == []
