@@ -82,16 +82,16 @@ class DomainError(EvalError):
 # Differentiation
 # ---------------------------------------------------------------------------
 
-def differentiate(e: Expr, index: int, kernels: KernelRegistry | None = None) -> Expr:
+def differentiate(e: Expr, index: int, kernels: KernelRegistry | None = None,
+                  memo: dict[int, Expr] | None = None) -> Expr:
     """Exact partial derivative with respect to ``x<index>``.
 
     Chain rules: d Phi(u) = phi(u) du, d phi(u) = -u phi(u) du,
-    d exp(u) = exp(u) du.  Equal subtrees are differentiated once.
+    d exp(u) = exp(u) du.  Equal subtrees are differentiated once per ``memo``
+    (one per index and registry), which may only hold nodes that outlive it.
     """
-    return _differentiate(e, index, kernels, {})
-
-
-def _differentiate(e: Expr, index: int, kernels, memo: dict[int, Expr]) -> Expr:
+    if memo is None:
+        memo = {}
     hit = memo.get(id(e))
     if hit is not None:
         return hit
@@ -106,27 +106,27 @@ def _differentiate_node(e: Expr, index: int, kernels, memo) -> Expr:
     if isinstance(e, Var):
         return ONE if e.index == index else ZERO
     if isinstance(e, Add):
-        return add(*[_differentiate(t, index, kernels, memo) for t in e.terms])
+        return add(*[differentiate(t, index, kernels, memo) for t in e.terms])
     if isinstance(e, Mul):
         pieces = []
         for i, f in enumerate(e.factors):
-            df = _differentiate(f, index, kernels, memo)
+            df = differentiate(f, index, kernels, memo)
             if df != ZERO:
                 pieces.append(mul(*e.factors[:i], df, *e.factors[i + 1:]))
         return add(*pieces)
     if isinstance(e, Pow):
-        db = _differentiate(e.base, index, kernels, memo)
+        db = differentiate(e.base, index, kernels, memo)
         if db == ZERO:
             return ZERO
         return mul(Const(e.exponent), pow_(e.base, e.exponent - 1, kernels), db)
     if isinstance(e, Exp):
-        du = _differentiate(e.arg, index, kernels, memo)
+        du = differentiate(e.arg, index, kernels, memo)
         return ZERO if du == ZERO else mul(e, du)
     if isinstance(e, NormCdf):
-        du = _differentiate(e.arg, index, kernels, memo)
+        du = differentiate(e.arg, index, kernels, memo)
         return ZERO if du == ZERO else mul(NormPdf(e.arg), du)
     if isinstance(e, NormPdf):
-        du = _differentiate(e.arg, index, kernels, memo)
+        du = differentiate(e.arg, index, kernels, memo)
         return ZERO if du == ZERO else mul(neg(e.arg), e, du)
     raise AlgebraError(f"unsupported primitive for differentiation: {e!r}")
 
@@ -136,9 +136,11 @@ def _differentiate_node(e: Expr, index: int, kernels, memo) -> Expr:
 # ---------------------------------------------------------------------------
 
 def substitute(e: Expr, mapping: Mapping[Expr, Expr],
-               kernels: KernelRegistry | None = None) -> Expr:
-    """Simultaneous substitution of Sym/Var nodes; rebuilds canonically."""
-    return evaluate(e, Ring("expr", mapping, kernels), {}) if mapping else e
+               kernels: KernelRegistry | None = None, memo: dict | None = None) -> Expr:
+    """Simultaneous substitution of Sym/Var nodes; rebuilds canonically, each subtree
+    once per ``memo`` (one per mapping and registry), which may only hold nodes that outlive it."""
+    ring = Ring("expr", mapping, kernels)
+    return evaluate(e, ring, {} if memo is None else memo) if mapping else e
 
 
 Number = Union[float, "np.ndarray"]
@@ -192,11 +194,12 @@ def norm_ppf(p: float) -> float:
     return float(ndtri(p))
 
 
-def eval_numeric(e: Expr, b: Bindings) -> Number:
+def eval_numeric(e: Expr, b: Bindings, memo: dict | None = None) -> Number:
     """Evaluate to double precision.  Raises :class:`EvalError` for unbound
     symbols; :class:`DomainError` for scalar domain violations.  Equal
-    subtrees are one interned node and are evaluated once per call."""
-    return evaluate(e, Ring("float", b), {})
+    subtrees are one interned node and are evaluated once per ``memo`` (one
+    per bindings), which may only hold nodes that outlive it."""
+    return evaluate(e, Ring("float", b), {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------

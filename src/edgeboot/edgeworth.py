@@ -212,8 +212,8 @@ def build_model(
     point = {Var(i): raw_moment(_at_mean_zero(spec), i) for i in range(1, 2 * d + 1)}
     env = Bindings(params, {v.index: float(r) for v, r in point.items()}) if numeric else None
 
-    def at(e: Expr) -> Value:
-        return eval_numeric(e, env) if numeric else substitute(e, point, kernels)
+    def at(e: Expr, memo: dict | None = None) -> Value:
+        return eval_numeric(e, env, memo) if numeric else substitute(e, point, kernels, memo)
 
     slopes = [(i, hi) for i in range(1, d + 1) if (hi := differentiate(h, i, kernels)) != ZERO]
     if not slopes:
@@ -247,10 +247,12 @@ def build_model(
     a_expr = mul(sub(h, h_at_mu), normalizer if plain else pow_(h2, Fraction(-1, 2), kernels))
     deriv_exprs: dict[tuple[int, ...], Expr] = {(): a_expr}
     deriv: dict[tuple[int, ...], Value] = {}
+    # memos shared by every entry (which keeps their nodes alive), made after the last register
+    memos, at_memo = {i: {} for i in range(1, dims + 1)}, {}
     for order in (1, 2, 3):
         for t in _sorted_tuples(dims, order):
-            deriv_exprs[t] = differentiate(deriv_exprs[t[:-1]], t[-1], kernels)
-            deriv[t] = at(deriv_exprs[t])
+            deriv_exprs[t] = differentiate(deriv_exprs[t[:-1]], t[-1], kernels, memos[t[-1]])
+            deriv[t] = at(deriv_exprs[t], at_memo)
 
     return StatModel(
         g=g,

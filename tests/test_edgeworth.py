@@ -51,7 +51,7 @@ from edgeboot.edgeworth import (
     quantile_eval,
     scale_adjust,
 )
-from edgeboot import edgeworth, moments
+from edgeboot import algebra, edgeworth, moments
 from edgeboot.codegen import emit_assignments
 
 import reference_polys
@@ -59,6 +59,7 @@ from naive_coeffs import cumulant_coeffs_naive
 from two_branch_model import build_model_two_branch
 
 ML_RADICAND = sub(Var(2), pow_(Var(1), 2))
+_SKEWNESS = "(x3 - 3*x1*x2 + 2*x1^3)/(x2 - x1^2)^(3/2)"
 ML_G_TEXT = "Phi((lambda - x1)/sqrt(x2 - x1^2)) - Phi((-lambda - x1)/sqrt(x2 - x1^2))"
 
 
@@ -596,6 +597,9 @@ class TestOneModelPath:
         assert list(got.deriv) == list(want.deriv)
         for t, value in want.deriv.items():
             assert _same(got.deriv[t], value), t
+        # the table's memos substitute a shared node once, not once per entry:
+        # each substituted half-power base is registered all the same
+        assert got.kernels._registered == want.kernels._registered
 
     @pytest.mark.parametrize("spec_name", ["gaussian_1.3_0.7", "exponential"])
     @pytest.mark.parametrize("mode", list(Mode))
@@ -611,6 +615,30 @@ class TestOneModelPath:
         for i in range(1, m.dims + 1):
             want = eval_numeric(differentiate(m.a_expr, i, m.kernels), env)
             assert _same(m.deriv[(i,)], want), i
+
+    @pytest.mark.parametrize("g_text, spec", [
+        (None, gaussian_spec(0.0, 1.0, 16)),
+        (_SKEWNESS, symbolic_spec(24)),
+    ], ids=["ml_symmetric", "skewness"])
+    def test_each_node_is_differentiated_once_per_slot(self, monkeypatch, g_text, spec):
+        # studentized: the slopes differentiate h once and the table its entries,
+        # whose shared subtrees are differentiated once per slot (up to 15 and 28
+        # times without the table's memos)
+        if g_text is None:
+            g, params, reg = _fold_statistic("ml_symmetric")
+        else:
+            reg = KernelRegistry([ML_RADICAND])
+            g, params = parse(g_text, reg), {}
+        calls: Counter = Counter()
+        node = algebra._differentiate_node
+
+        def counted(e, index, kernels, memo):
+            calls[e, index] += 1  # the node itself, so no id is reused
+            return node(e, index, kernels, memo)
+
+        monkeypatch.setattr(algebra, "_differentiate_node", counted)
+        build_model(g, Mode.STUDENTIZED, spec, params=params, kernels=reg)
+        assert max(calls.values()) <= 2
 
     def test_mean_folds_its_constants(self):
         # (1.3 + y1 - 1.3)/0.7: the mean's exact rational cancels
@@ -633,7 +661,6 @@ class TestOneModelPath:
             build_model(parse("x1^2"), Mode.NONSTUDENTIZED, gaussian_spec(0.0, 1.0, 8))
 
 
-_SKEWNESS = "(x3 - 3*x1*x2 + 2*x1^3)/(x2 - x1^2)^(3/2)"
 _CV = "sqrt(x2 - x1^2)/x1"
 # the derivations of the benchmark's `exact` workload, byte for byte as they
 # were emitted before the expansion moved to the centered power basis (its
