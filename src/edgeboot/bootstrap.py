@@ -143,10 +143,10 @@ def h_inverse_rank(B: int, p: float) -> int:
 
 
 def accel_plugin(data: Sequence[float], model: StatModel) -> float:
-    """Plug-in acceleration ``a = A / (6 sigma^3 sqrt(n))``: the
+    """Plug-in acceleration ``a = A / (6 sqrt(n))``: the
     :func:`~edgeboot.edgeworth.accel_constant` of ``model``, the statistic
-    fitted to ``data`` (over :func:`~edgeboot.moments.empirical_spec`);
-    invariant to the statistic's scaling.
+    fitted to ``data`` (over :func:`~edgeboot.moments.empirical_spec`),
+    normalized to unit variance and so invariant to the statistic's scaling.
 
     The model is expanded at the sample mean, where every odd central moment
     of a symmetric sample is an exact zero, and so is the mean's ``a``."""

@@ -186,7 +186,6 @@ def _cmd_accel(args) -> int:
     acc = accel_constant(model)
     report = {
         "A": _fmt(acc.A_value),
-        "sigma3": _fmt(acc.sigma3),
         "a_over_sqrtn": _fmt(acc.a_over_sqrtn),
     }
     _print_report(report, args.format)

@@ -327,27 +327,24 @@ class _MomentView:
 
 def _first_order(model: StatModel):
     """What both contractions start from: the ring, the converted derivative
-    table, the moment view, the indices of the nonzero first derivatives,
-    S2 = sum a_i a_j mu_ij and A = sum a_i a_j a_k mu_ijk (k31's first term).
-    Each runs over sorted index tuples weighted by their multiplicity.  Built
-    once per model and kept on ``model.first_order``."""
+    table, the moment view, the indices of the nonzero first derivatives and
+    A = sum a_i a_j a_k mu_ijk (k31's first term) over sorted triples weighted
+    by their multiplicity; built once per model, kept on ``model.first_order``.
+    The variance sum a_i a_j mu_ij is not formed: it is h2(mu)/h2(mu) = 1 in
+    both modes (when studentized, the slots above ``d`` have zero first
+    derivative, as ``h - h(mu)`` vanishes at the point)."""
     if model.first_order is not None:
         return model.first_order
     ring, a = _model_ring(model)
     M = _MomentView(_at_mean_zero(model.spec), ring)
     D = model.dims
     nonzero1 = [i for i in range(1, D + 1) if not ring.is_zero(a[(i,)])]
-    S2 = ring.sum(
-        Fraction(_multiplicity(t)) * (a[(t[0],)] * a[(t[1],)] * M(*t))
-        for t in _sorted_tuples(D, 2)
-        if t[0] in nonzero1 and t[1] in nonzero1
-    )
     A = ring.sum(
         Fraction(_multiplicity(t)) * (a[(t[0],)] * a[(t[1],)] * a[(t[2],)] * M(*t))
         for t in _sorted_tuples(D, 3)
         if all(i in nonzero1 for i in t)
     )
-    model.first_order = ring, a, M, nonzero1, S2, A
+    model.first_order = ring, a, M, nonzero1, A
     return model.first_order
 
 
@@ -364,14 +361,14 @@ def cumulant_coeffs(model: StatModel) -> CumulantCoeffs:
 
     Derivative and moment symmetry are exploited through sorted-tuple
     lookups and vector/matrix contractions of the nested sums.  Cost in
-    ring products, for D = ``model.dims``: S2, k12 and k31_t2 run over the
+    ring products, for D = ``model.dims``: k12 and k31_t2 run over the
     D^2/2 sorted pairs, k31_t1 = A and k41_t4 over the D^3/6 sorted triples,
     and k41_t1 over the D^4/24 sorted quadruples.  The vectors B = mu2 . a1
     and C = a2 . B cost D^2 each, T costs D^3/2, and k22_t1, k22_t3 and the
     matrix N of k22_t2 cost D^3.  Given C,
     k41_t2 = 12 C . T costs D and k41_t3 = 12 C' mu2 C costs D^2/2.
     """
-    ring, a, M, nonzero1, S2, A = _first_order(model)
+    ring, a, M, nonzero1, A = _first_order(model)
     D = model.dims
     rng1 = range(1, D + 1)
     _sum = ring.sum
@@ -432,7 +429,7 @@ def cumulant_coeffs(model: StatModel) -> CumulantCoeffs:
         Fraction(m) * (a1(i) * a1(j) * a1(k) * a1(l) * M(i, j, k, l))
         for (i, j, k, l), m in quads
         if i in nonzero1 and j in nonzero1 and k in nonzero1 and l in nonzero1
-    ) - Fraction(3) * (S2 * S2)
+    ) - Fraction(3)  # 3 (sum a_i a_j mu_ij)^2, which is 1
     T = {
         m_idx: _sum(
             Fraction(m) * (a1(j) * a1(k) * M(j, k, m_idx))
@@ -551,23 +548,15 @@ def scale_adjust(p1: Poly, p2: Poly, gamma: Fraction) -> tuple[Poly, Poly]:
 @dataclass
 class AccelResult:
     A_value: Value
-    sigma3: Value
     a_over_sqrtn: Value  # divide by sqrt(n) at use time
 
 
 def accel_constant(model: StatModel) -> AccelResult:
-    """A = sum a_i a_j a_k mu_ijk over first derivatives; a = A/(6 sigma^3 sqrt(n))
-    with sigma^2 = sum a_i a_j mu_ij from the same derivative set."""
-    ring, _, _, nonzero1, S2, A = _first_order(model)
-    if not nonzero1 or (ring.kind == "float" and (not math.isfinite(S2) or S2 <= 0)):
-        raise ModelError("zero asymptotic variance in acceleration constant")
-    sigma3 = ring.pow(S2, Fraction(3, 2))
-    a_over = A / (Fraction(6) * sigma3)
-    return AccelResult(
-        A_value=ring.finish(A),
-        sigma3=ring.finish(sigma3),
-        a_over_sqrtn=ring.finish(a_over),
-    )
+    """A = sum a_i a_j a_k mu_ijk over first derivatives; Efron's
+    a = A/(6 sigma^3 sqrt(n)) is A/(6 sqrt(n)), as the normalized statistic
+    has sigma = 1 (see :func:`_first_order`)."""
+    ring, _, _, _, A = _first_order(model)
+    return AccelResult(A_value=ring.finish(A), a_over_sqrtn=ring.finish(A / Fraction(6)))
 
 
 # ---------------------------------------------------------------------------

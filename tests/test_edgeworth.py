@@ -210,8 +210,8 @@ class TestRingMemo:
         assert edgeworth._first_order(m) is m.first_order
 
     def test_first_order_built_once(self, monkeypatch):
-        # accel_constant after cumulant_coeffs reuses the moment view, S2 and
-        # A (k31's first term) that cumulant_coeffs built, and agrees with
+        # accel_constant after cumulant_coeffs reuses the moment view and A
+        # (k31's first term) that cumulant_coeffs built, and agrees with
         # accel_constant on a fresh model
         def model():
             return build_model(parse("x2 - x1^2"), Mode.NONSTUDENTIZED, symbolic_spec(8))
@@ -357,7 +357,7 @@ class TestAcceleration:
     def test_studentized_mean_unit_variance(self):
         m = build_model(parse("x1"), Mode.STUDENTIZED, symbolic_spec(8))
         acc = accel_constant(m)
-        assert normalize(acc.sigma3) == normalize(ONE)
+        assert _linear_variance(m) == ONE
         assert normalize(acc.A_value) == normalize(Sym("Gamma1"))
         assert normalize(acc.a_over_sqrtn) == normalize(parse("Gamma1/6"))
 
@@ -659,6 +659,72 @@ class TestOneModelPath:
             build_model(parse("x1^2"), Mode.NONSTUDENTIZED, spec)
         with pytest.raises(ModelError, match="zero or invalid asymptotic variance 0.0"):
             build_model(parse("x1^2"), Mode.NONSTUDENTIZED, gaussian_spec(0.0, 1.0, 8))
+
+
+def _linear_variance_terms(model):
+    """The ring and the terms a_i a_j mu_ij over every slot pair, read from the
+    derivative table and moment view of ``_first_order`` as ``naive_coeffs`` reads them."""
+    ring, a, M, _, _ = edgeworth._first_order(model)
+    rng1 = range(1, model.dims + 1)
+    return ring, [a[(i,)] * a[(j,)] * M(i, j) for i in rng1 for j in rng1]
+
+
+def _linear_variance(model):
+    """sum a_i a_j mu_ij, the variance of the linear part of the statistic."""
+    ring, terms = _linear_variance_terms(model)
+    return ring.finish(sum(terms, start=ring.zero))
+
+
+def _unit_statistic(name: str):
+    if name == "skewness_b1":
+        reg = KernelRegistry([ML_RADICAND])
+        return parse(_SKEWNESS, reg), {}, reg
+    return _fold_statistic(name)
+
+
+class TestUnitVariance:
+    # build_model divides the statistic by its asymptotic standard deviation,
+    # so the coefficients take sum a_i a_j mu_ij = 1 without forming it; this
+    # forms it, over every ring
+    STATS = [*_FOLD_STATS, "skewness_b1"]
+    FLOAT_SPECS = {
+        "gaussian_1.3_0.7": lambda K: gaussian_spec(1.3, 0.7, K),
+        "exponential": lambda K: exponential_spec(1.0, K),
+        **{f"empirical_{n}": lambda K, n=n: empirical_spec(
+            np.random.default_rng(n).exponential(1.0, n), K) for n in (5, 50, 1000)},
+    }
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("stat", STATS)
+    def test_symbolic_moments(self, stat, mode):
+        g, params, reg = _unit_statistic(stat)
+        spec = symbolic_spec(model_shape(g, mode)[2])
+        m = build_model(g, mode, spec, params=params, kernels=reg)
+        got = _linear_variance(m)
+        if not stat.startswith("ml_"):  # the normal-form ring: exactly one
+            assert got == ONE
+            return
+        # the expression ring: one at a gaussian and at the exponential point
+        for point, numeric in (({"mu": 0.3, "sigma": 1.1, "Gamma1": 0.0, "kappa1": 0.0},
+                                gaussian_spec(0.3, 1.1, spec.K)),
+                               ({"mu": 1.0, "sigma": 1.0, "Gamma1": 2.0, "kappa1": 6.0},
+                                exponential_spec(1.0, spec.K))):
+            env = {**point, **params,
+                   **{f"mu{k}": numeric.std_moments[k] for k in range(5, spec.K + 1)}}
+            assert math.isclose(eval_numeric(got, Bindings(env)), 1.0, rel_tol=1e-12), point
+
+    @pytest.mark.parametrize("spec_name", list(FLOAT_SPECS))
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("stat", STATS)
+    def test_numeric_moments(self, stat, mode, spec_name):
+        g, params, reg = _unit_statistic(stat)
+        spec = self.FLOAT_SPECS[spec_name](model_shape(g, mode)[2])
+        _, terms = _linear_variance_terms(build_model(g, mode, spec, params=params,
+                                                      kernels=reg))
+        # 2 ulp of 1.0, or of the terms' absolute sum where they cancel (up
+        # to 25, for b1 and b2; b2 reaches 8 ulp of 1.0)
+        scale = max(1.0, sum(map(abs, terms)))
+        assert abs(sum(terms) - 1.0) <= 2 * math.ulp(1.0) * scale, terms
 
 
 _CV = "sqrt(x2 - x1^2)/x1"
