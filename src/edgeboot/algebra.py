@@ -83,20 +83,18 @@ class DomainError(EvalError):
 # ---------------------------------------------------------------------------
 
 def differentiate(e: Expr, index: int, kernels: KernelRegistry | None = None,
-                  memo: dict[int, Expr] | None = None) -> Expr:
+                  memo: dict[Expr, Expr] | None = None) -> Expr:
     """Exact partial derivative with respect to ``x<index>``.
 
     Chain rules: d Phi(u) = phi(u) du, d phi(u) = -u phi(u) du,
     d exp(u) = exp(u) du.  Equal subtrees are differentiated once per ``memo``
-    (one per index and registry), which may only hold nodes that outlive it.
+    (one per index and registry).
     """
     if memo is None:
         memo = {}
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    out = _differentiate_node(e, index, kernels, memo)
-    memo[id(e)] = out
+    out = memo.get(e)
+    if out is None:
+        out = memo[e] = _differentiate_node(e, index, kernels, memo)
     return out
 
 
@@ -138,7 +136,7 @@ def _differentiate_node(e: Expr, index: int, kernels, memo) -> Expr:
 def substitute(e: Expr, mapping: Mapping[Expr, Expr],
                kernels: KernelRegistry | None = None, memo: dict | None = None) -> Expr:
     """Simultaneous substitution of Sym/Var nodes; rebuilds canonically, each subtree
-    once per ``memo`` (one per mapping and registry), which may only hold nodes that outlive it."""
+    once per ``memo`` (one per mapping and registry)."""
     ring = Ring("expr", mapping, kernels)
     return evaluate(e, ring, {} if memo is None else memo) if mapping else e
 
@@ -198,7 +196,7 @@ def eval_numeric(e: Expr, b: Bindings, memo: dict | None = None) -> Number:
     """Evaluate to double precision.  Raises :class:`EvalError` for unbound
     symbols; :class:`DomainError` for scalar domain violations.  Equal
     subtrees are one interned node and are evaluated once per ``memo`` (one
-    per bindings), which may only hold nodes that outlive it."""
+    per bindings)."""
     return evaluate(e, Ring("float", b), {} if memo is None else memo)
 
 
@@ -639,8 +637,11 @@ class NormalForm:
         q = self.den.divexact(other.den)
         if q is not None:
             return NormalForm(self.num + other.num * q, self.den)
-        return NormalForm(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+        # neither divides the other: sum over their lcm, self.den * (other.den / gcd)
+        (da, db), back = _in_ring([self.den, other.den])
+        _, qa, qb = da.cofactors(db)
+        qa, qb = back(qa), back(qb)
+        return NormalForm(self.num * qb + other.num * qa, self.den * qb)
 
     __radd__ = __add__
 
@@ -905,16 +906,13 @@ class Ring:
         return self.add(terms) if terms else self.zero
 
 
-def evaluate(e: Expr, ring: Ring, memo: dict[int, object]):
+def evaluate(e: Expr, ring: Ring, memo: dict[Expr, object]):
     """``e`` as a value of ``ring``; equal subtrees are one interned node and
-    are mapped once.
+    are mapped once per ``memo``, which is keyed by that node.
 
-    ``memo`` is keyed by the id of the interned node, so it is memoised by
-    structure; a memo kept across calls may only hold nodes that outlive it.
     The ``nf`` ring raises :class:`TranscendentalResidueError` at an
     exp/Phi/phi node before it maps the argument."""
-    key = id(e)
-    out = memo.get(key)
+    out = memo.get(e)
     if out is not None:
         return out
     cls = type(e)
@@ -934,14 +932,14 @@ def evaluate(e: Expr, ring: Ring, memo: dict[int, object]):
         )
     else:
         out = ring.atom(cls, evaluate(e.arg, ring, memo))
-    memo[key] = out
+    memo[e] = out
     return out
 
 
 _NF = Ring("nf")
 
 
-def _to_nf(e: Expr, memo: dict[int, NormalForm] | None = None) -> NormalForm:
+def _to_nf(e: Expr, memo: dict[Expr, NormalForm] | None = None) -> NormalForm:
     """Lightly reduced normal form (``evaluate`` in the ``nf`` ring)."""
     return evaluate(e, _NF, {} if memo is None else memo)
 

@@ -247,7 +247,7 @@ def build_model(
     a_expr = mul(sub(h, h_at_mu), normalizer if plain else pow_(h2, Fraction(-1, 2), kernels))
     deriv_exprs: dict[tuple[int, ...], Expr] = {(): a_expr}
     deriv: dict[tuple[int, ...], Value] = {}
-    # memos shared by every entry (which keeps their nodes alive), made after the last register
+    # memos shared by every entry, made after the last register
     memos, at_memo = {i: {} for i in range(1, dims + 1)}, {}
     for order in (1, 2, 3):
         for t in _sorted_tuples(dims, order):
@@ -275,7 +275,7 @@ def build_model(
 
 def _convert(ring: Ring, v, memo: dict):
     """``v`` (an Expr, or a float for the float ring) as a ring value;
-    ``memo`` shares the normal forms of subtrees by node id.  Normal forms go
+    ``memo`` shares the normal forms of subtrees by node.  Normal forms go
     through this module's ``_to_nf`` name, which ``bench/tracing.py`` times."""
     if ring.kind == "nf":
         return _to_nf(v, memo)
@@ -288,7 +288,7 @@ def _ring_of(values, kernels: KernelRegistry | None = None) -> tuple[Ring, list]
     (a value is transcendental) plain expressions carrying ``kernels``."""
     values = list(values)
     ring = Ring("nf" if any(isinstance(v, Expr) for v in values) else "float")
-    memo: dict[int, NormalForm] = {}  # by node id: ``values`` keeps the nodes alive
+    memo: dict[Expr, NormalForm] = {}
     try:
         return ring, [_convert(ring, v, memo) for v in values]
     except TranscendentalResidueError:
@@ -309,10 +309,7 @@ class _MomentView:
         self.spec = spec
         self.ring = ring
         self._cache: dict[tuple[int, ...], object] = {}
-        self._memo: dict[int, NormalForm] = {}
-        # the view lives on the model, which may outlive cross_moment's cache:
-        # holding each converted moment keeps the node ids _memo keys alive
-        self._moments: list = []
+        self._memo: dict[Expr, NormalForm] = {}
 
     def __call__(self, *indices: int):
         key = tuple(sorted(indices))
@@ -320,7 +317,6 @@ class _MomentView:
         if got is None:
             # through the module: bench/tracing.py times moments.cross_moment
             moment = moments.cross_moment(self.spec, key)
-            self._moments.append(moment)
             got = self._cache[key] = _convert(self.ring, moment, self._memo)
         return got
 

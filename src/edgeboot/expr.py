@@ -5,7 +5,7 @@ symbols, power-mean slots ``x1..xd``, sums, products, rational powers and the
 primitives ``exp``, ``Phi`` (standard normal CDF) and ``phi`` (its density).
 Every structure is built once: constructing a node equal to a live one
 returns that node, so ``==`` and ``hash`` are identity and O(1), and memos
-keyed by node ``id`` share work between structurally equal subtrees.
+keyed by the node share work between structurally equal subtrees.
 Decimal literals are rejected on input: every constant is an exact
 ``Fraction`` so that derived coefficients like ``5/72`` stay exact.
 
@@ -426,14 +426,14 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 def _nodes(e: Expr) -> Iterator[Expr]:
     """Every distinct node of ``e``, each once: a shared subtree is visited
     once, so the walk is linear in the DAG, not in the tree it prints as."""
-    seen = {id(e)}
+    seen = {e}
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
         for child in _children(node):
-            if id(child) not in seen:
-                seen.add(id(child))
+            if child not in seen:
+                seen.add(child)
                 stack.append(child)
 
 
@@ -672,7 +672,7 @@ def pretty_print(e: Expr) -> str:
 
     Each distinct node is rendered once per (precedence, sign) context it
     occurs in, memoised by structure for the call (nodes are interned, so
-    the node ``id`` is the key), so a DAG that shares subexpressions costs
+    the node is the key), so a DAG that shares subexpressions costs
     its distinct nodes plus the length of the output.
     """
     return _Printer().show(e, 0)
@@ -688,13 +688,13 @@ def _is_negative_leading(e: Expr) -> bool:
 
 class _Printer:
     """One ``pretty_print`` call; strings memoised by structure, keyed by
-    ``(id(node), prec, negated)`` of the interned node."""
+    ``(node, prec, negated)``."""
 
     def __init__(self):
-        self.memo: dict[tuple[int, int, bool], str] = {}
+        self.memo: dict[tuple[Expr, int, bool], str] = {}
 
     def show(self, e: Expr, prec: int, negated: bool = False) -> str:
-        key = (id(e), prec, negated)
+        key = (e, prec, negated)
         s = self.memo.get(key)
         if s is None:
             s = self.memo[key] = self._render(e, prec, negated)

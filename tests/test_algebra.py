@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -103,6 +105,23 @@ _smooth = st.sampled_from([
     "exp(phi(x1))",
     "Phi(phi(x1) + x1/2)",
 ])
+
+
+class TestMemos:
+    @pytest.mark.parametrize("walk", [
+        lambda e, memo: differentiate(e, 1, memo=memo),
+        lambda e, memo: eval_numeric(e, Bindings(vars={1: 2.0, 2: 3.0}), memo),
+    ], ids=["differentiate", "eval_numeric"])
+    def test_a_memo_holds_its_nodes(self, walk):
+        # keyed by the interned node, a memo the caller keeps alive keeps its
+        # nodes alive, so no new node can take over a stale entry
+        e = parse("x1*x2 + x1^3")
+        alive, memo = weakref.ref(e), {}
+        walk(e, memo)
+        del e
+        gc.collect()
+        assert alive() is not None
+        assert alive() in memo
 
 
 class TestDerivativeVsFiniteDifference:
@@ -758,6 +777,20 @@ class TestGcd:
         want = nf(want_num) / nf(want_den)
         assert got.num == want.num and got.den == want.den
         assert got.den == nf(want_den).num.scale(1 / nf(want_den).num.leading()[1])
+
+
+class TestSumOverTheLcm:
+    def test_neither_denominator_divides_the_other(self):
+        # the shared factor x1 + x2 is kept once: the sum is over the lcm of
+        # the denominators, not their product, so it is already canonical
+        def nf(text):
+            return algebra._to_nf(parse(text))
+
+        got = nf("1/((x1 + x2)*(x1 + sigma))") + nf("1/((x1 + x2)*(x2 + sigma))")
+        assert max(sum(e for _, e in m) for m in got.den.terms) == 3
+        assert got.den == nf("(x1 + x2)*(x1 + sigma)*(x2 + sigma)").num
+        canonical = got.canonical()
+        assert got.num == canonical.num and got.den == canonical.den
 
 
 class TestMultiTermDivision:

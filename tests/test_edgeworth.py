@@ -231,7 +231,7 @@ class TestRingMemo:
         assert len(views) == 1
 
     def test_kept_view_survives_a_cleared_moment_cache(self):
-        # the view kept on the model memoises moment subtrees by node id; a
+        # the view kept on the model memoises moment subtrees by node; a
         # cleared cross_moment cache must not let new nodes hit stale entries
         def model():
             return build_model(parse("(x2 - x1^2)/x1"), Mode.NONSTUDENTIZED, symbolic_spec(8))
@@ -747,6 +747,18 @@ _EXACT_PINS = {
 }
 
 
+def _studentized_cv(spec) -> dict:
+    """k12, k22, k31, k41 and A of studentized cv over ``spec``."""
+    reg = KernelRegistry([parse("x2 - x1^2")])
+    model = build_model(parse(_CV, reg), Mode.STUDENTIZED, spec, kernels=reg)
+    return vars(cumulant_coeffs(model)) | {"A": accel_constant(model).A_value}
+
+
+@pytest.fixture(scope="module")
+def studentized_cv():
+    return _studentized_cv(symbolic_spec(16))
+
+
 class TestCenteredBasis:
     @pytest.mark.parametrize("case", list(_EXACT_PINS))
     def test_exact_derivations_unchanged(self, case):
@@ -766,6 +778,31 @@ class TestCenteredBasis:
         assert len(text) == 57969
         assert hashlib.sha256(text).hexdigest() == (
             "e3f3ca4a9a33d4825f2f75081aee4558b07348e4a6316085f1259b8a77abbbe5")
+
+    def test_studentized_cv_over_symbolic_moments(self):
+        # sums of normal forms go over the lcm of their denominators; over
+        # their product this derivation did not finish in minutes
+        text = _emit_all(_CV, Mode.STUDENTIZED, symbolic_spec(16), ["x2 - x1^2"])
+        assert len(text) == 31171
+        assert hashlib.sha256(text).hexdigest() == (
+            "62c1dcdf36c2b943202090d3c52bd3ce6e14527c1cdb465f7adddb538dc2c5ce")
+
+    def test_studentized_skewness_over_symbolic_moments(self):
+        text = _emit_all(_SKEWNESS, Mode.STUDENTIZED, symbolic_spec(24), ["x2 - x1^2"])
+        assert len(text) == 72591
+        assert hashlib.sha256(text).hexdigest() == (
+            "c9d05d072ea46dcdc86f30863ff7e531df646ea1b4716df2176bdd14e0c000cd")
+
+    @pytest.mark.parametrize("spec", [gaussian_spec(1.3, 0.7, 16), exponential_spec(2.0, 16)],
+                             ids=["gaussian", "exponential"])
+    def test_studentized_cv_agrees_with_the_float_ring(self, studentized_cv, spec):
+        m = spec.std_moments
+        env = Bindings({"mu": spec.mean, "sigma": spec.scale, "Gamma1": m[3],
+                        "kappa1": m[4] - 3, **{f"mu{k}": m[k] for k in range(5, 17)}}, {})
+        want = _studentized_cv(spec)
+        for name, value in studentized_cv.items():
+            got = eval_numeric(value, env)
+            assert abs(got - want[name]) <= 1e-12 * abs(want[name]), (name, got, want[name])
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("stat", list(_FOLD_STATS))
