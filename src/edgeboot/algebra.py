@@ -13,9 +13,8 @@ rational coefficients.  Square roots are adjoined as kernel generators
 ``s`` with the rewrite rule ``s^2 -> radicand``; denominators are kept
 kernel-free (rationalized) and monic under a graded-lexicographic monomial
 order with variables < symbols < kernels.  Radicand canonicalization pulls
-out rational squares and even powers of positive atoms; it does not detect
-perfect squares of general polynomials (nothing in this problem produces
-them).
+out rational squares, even powers of positive atoms and fourth powers of
+any atom; it does not detect perfect squares of general polynomials.
 
 Expressions still containing ``exp``/``Phi``/``phi`` after substitution do
 not normalize; equality checking for those falls back to comparison at
@@ -463,46 +462,34 @@ def _gen_is_positive(g: Gen) -> bool:
 
 
 def _evidently_positive(p: MPoly) -> bool:
-    """Whether ``p`` is positive wherever it is nonzero: its terms, or those
-    of each odd power in its square-free factorization (with a positive
-    constant), are all nonnegative."""
-    def termwise(p: MPoly) -> bool:
-        return all(c > 0 and all(e % 2 == 0 or _gen_is_positive(g) for g, e in m)
-                   for m, c in p.terms.items())
-
-    if termwise(p):
-        return True
-    (f,), back = _in_ring([p])
-    lc, factors = f.sqf_list()  # monic factors
-    return lc > 0 and all(termwise(back(h)) for h, k in factors if k % 2)
+    """Whether ``p`` is positive wherever it is nonzero: each term is a
+    positive coefficient times even powers and powers of positive generators."""
+    return all(c > 0 and all(e % 2 == 0 or _gen_is_positive(g) for g, e in m)
+               for m, c in p.terms.items())
 
 
 def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
     """sqrt of a kernel-free polynomial as (coeff, monomial, kernel-monomial).
 
     The value is ``coeff * monomial * sqrt(radicand)`` where the radicand is
-    the content-times-primitive residual after extracting rational squares
-    and even powers of positive generators.
+    the content-times-primitive residual after extracting rational squares,
+    even powers of positive generators and fourth powers of any generator.
     """
     if p.is_zero:
         raise AlgebraError("sqrt of zero polynomial")
     if p.has_kernels():
         raise AlgebraError("nested radical: sqrt of an expression already containing one")
-    _, lead_c = p.leading()
     cont = p.content()
-    if lead_c < 0:
-        raise AlgebraError(f"sqrt of a polynomial with negative leading coefficient")
-    prim = p.scale(1 / cont)  # integer coefficients, gcd 1, positive lead
+    prim = p.scale(1 / cont)  # integer coefficients, gcd 1
     coeff, rad_const = rational_sqrt(cont)
-    # even-power extraction of positive generators present in every monomial
+    # the power of each generator present in every monomial: sqrt(g^2) = g
+    # for a positive g, and sqrt(g^4) = g^2 for any g
     extracted: list[tuple[Gen, int]] = []
-    gens = prim.gens()
-    for g in sorted(gens):
-        if not _gen_is_positive(g):
-            continue
+    for g in sorted(prim.gens()):
+        step = 2 if _gen_is_positive(g) else 4
         e_min = min(dict(m).get(g, 0) for m in prim.terms)
-        if e_min >= 2:
-            extracted.append((g, e_min // 2))
+        if e_min >= step:
+            extracted.append((g, e_min // step * step // 2))
     if extracted:
         divisor = MPoly({tuple((g, 2 * h) for g, h in extracted): 1})
         q = prim.divexact(divisor)
@@ -684,18 +671,16 @@ class NormalForm:
         return self.pow(Fraction(k)) * self.sqrt()
 
     def sqrt(self) -> "NormalForm":
-        # sqrt(num/den) = sqrt(num*den)/den; denominators arising here are
-        # positive (powers of scale symbols and positive radicands).  The
-        # canonical form gives equal values the same radicand, but making
-        # its denominator monic can flip its sign (x2 - x1^2 to x1^2 - x2):
-        # it is taken when it, or its ratio to ``self.den``, is positive.
+        # sqrt(N/D) = sqrt(N*D)/D over the canonical form, so equal values get
+        # the same radicand.  That needs D > 0, and a monic D may be negative
+        # (x2 - x1^2 becomes x1^2 - x2): unless D is evidently positive, the
+        # form is first written (N*D)/D^2, and the root is sqrt(N*D^3)/D^2
         c = self.canonical()
-        if c.den != self.den and not _evidently_positive(c.den):
-            q = self.den.divexact(c.den)
-            if q is None or not _evidently_positive(q):
-                c = self
-        coeff, mono, kern = _sqrt_poly(c.num * c.den)
-        return NormalForm(MPoly({_mono_mul(mono, kern): _norm(coeff)}), c.den)
+        num, den = c.num, c.den
+        if not _evidently_positive(den):
+            num, den = num * den, den * den
+        coeff, mono, kern = _sqrt_poly(num * den)
+        return NormalForm(MPoly({_mono_mul(mono, kern): _norm(coeff)}), den)
 
     # -- conversion --------------------------------------------------------
 
@@ -970,7 +955,7 @@ def sym_compare(a: Expr, b: Expr) -> Comparison:
     deterministic pseudo-random bindings (reported as numeric)."""
     try:
         return Comparison(_to_nf(sub(a, b)).is_zero, "symbolic")
-    except TranscendentalResidueError:
+    except AlgebraError:  # exp/Phi/phi left, or a nested radical
         pass
     return Comparison(_numeric_agree(a, b), "numeric")
 

@@ -566,6 +566,8 @@ def cdf_eval(p1: Poly, p2: Poly, n: int, x: float, order: int = 2) -> float:
         raise ModelError("n must be >= 2")
     if order not in (0, 1, 2):
         raise ModelError("order must be 0, 1 or 2")
+    if not math.isfinite(x):
+        raise ModelError("x must be finite")
     out = norm_cdf(float(x))
     if order >= 1:
         out += p1.eval(x) * norm_pdf(float(x)) / math.sqrt(n)

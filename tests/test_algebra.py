@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from edgeboot import algebra
 import edgeboot.expr as expr_module
@@ -294,6 +294,26 @@ class TestEvalNumeric:
             eval_numeric(pow_(Var(1), Fraction(3, 2), reg), Bindings({}, {1: 1e300}))
 
 
+# (x4 - x1^4)/(x2 - x1^2), and the same value over (x2 - x1^2)^2 written out
+_ONE_RADICAND = ("(x4 - x1^4)/(x2 - x1^2)",
+                 "(x4*x2 - x4*x1^2 - x1^4*x2 + x1^6)/(x2^2 - 2*x2*x1^2 + x1^4)")
+
+
+def _exact_value(nf, point):
+    """``nf`` at ``point`` (generator -> Fraction): polynomials exactly, each
+    kernel as the double root of its exact radicand."""
+    def poly(p):
+        total = Fraction(0)
+        for m, c in p.terms.items():
+            term = Fraction(c)
+            for g, k in m:
+                term *= (math.sqrt(poly(MPoly.from_key(g[1]))) if g[0] == 2 else point[g]) ** k
+            total += term
+        return total
+
+    return poly(nf.num) / poly(nf.den)
+
+
 class TestSymEqual:
     def test_mean_p21_expanded_form(self):
         compact = parse("(x^3/24 - x/8)*kappa1 + (-x^3/18 + 5*x/36)*Gamma1^2")
@@ -312,13 +332,50 @@ class TestSymEqual:
                            parse("sqrt(x2/x4)")) == Comparison(True, "symbolic")
 
     def test_square_root_keeps_its_sign_when_the_monic_denominator_flips(self):
-        # (x4 - x1^4)*(x2 - x1^2)/(x2 - x1^2)^2, written out: its canonical
-        # denominator x1^2 - x2 is negative wherever the variance is
-        # positive, so the root must not be taken over it
-        rad = "(x4*x2 - x4*x1^2 - x1^4*x2 + x1^6)/(x2^2 - 2*x2*x1^2 + x1^4)"
-        e = parse(f"sqrt({rad})", KernelRegistry([parse(rad)]))
+        # the canonical denominator of either spelling is x1^2 - x2, negative
+        # wherever the variance is positive, so the root is taken over its square
         b = Bindings({}, {1: 0.5, 2: 2.0, 4: 5.0})
-        assert eval_numeric(normalize(e).to_expr(), b) == pytest.approx(eval_numeric(e, b))
+        for rad in _ONE_RADICAND:
+            e = parse(f"sqrt({rad})", KernelRegistry([parse(rad)]))
+            assert eval_numeric(normalize(e).to_expr(), b) == pytest.approx(1.6797108594721208)
+            assert eval_numeric(e, b) == pytest.approx(1.6797108594721208)
+
+    def test_two_spellings_of_one_radicand_root_alike(self):
+        a, b = (parse(f"sqrt({r})", KernelRegistry([parse(r)])) for r in _ONE_RADICAND)
+        na, nb = normalize(a), normalize(b)
+        assert (na.num.key(), na.den.key()) == (nb.num.key(), nb.den.key())
+        assert sym_compare(a, b) == Comparison(True, "symbolic")
+
+    def test_sample_sd_kernel_and_cv_normalize(self):
+        reg = KernelRegistry([parse("x2 - x1^2")])
+        sd = parse("sqrt(x2 - x1^2)", reg)
+        b = Bindings({}, {1: 0.5, 2: 2.0})
+        assert eval_numeric(normalize(sd).to_expr(), b) == pytest.approx(math.sqrt(1.75))
+        cv = parse("sqrt(x2 - x1^2)/x1", reg)
+        assert sym_compare(cv, cv) == Comparison(True, "symbolic")
+
+    def test_nested_radical_compares_numerically(self):
+        e = parse("sqrt(sqrt(x2) + 1)")
+        assert sym_compare(e, e) == Comparison(True, "numeric")
+
+    @given(st.lists(st.integers(0, 2), min_size=5, max_size=5),
+           st.lists(st.integers(0, 2), min_size=5, max_size=5),
+           st.sampled_from([-1.5, -0.5, 0.5, 1.25]), st.sampled_from([0.5, 2.0, 3.0]),
+           st.sampled_from([0.5, 3.0, 9.0]), st.sampled_from([0.75, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_square_root_of_a_ratio_is_the_positive_root(self, up, down, x1, x2, x4, sigma):
+        factors = ["x2 - x1^2", "x4 - x1^4", "x2 + x1^2", "x1 + sigma", "sigma"]
+
+        def product(exps):
+            return "*".join(f"({f})^{k}" for f, k in zip(factors, exps) if k) or "1"
+
+        rad = parse(f"({product(up)})/({product(down)})")
+        point = {(0, 1): Fraction(x1), (0, 2): Fraction(x2), (0, 4): Fraction(x4),
+                 (1, "sigma"): Fraction(sigma)}
+        value = _exact_value(normalize(rad), point)
+        assume(value > 0)
+        root = normalize(sqrt(rad, KernelRegistry([rad])))
+        assert _exact_value(root, point) == pytest.approx(math.sqrt(value), rel=1e-12)
 
     def test_variance_h_squared_matches_quartic(self):
         # auto-derived h^2 for the variance statistic equals the closed quartic

@@ -124,6 +124,12 @@ class TestCdfQuantile:
         assert code == 0
         assert float(out.split("cdf = ")[1]) == 0.5
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_is_an_error(self, capsys, x):
+        code, out, err = run(capsys, "cdf", "--stat", "mean", "--moments", "gaussian",
+                             "--n", "10", f"--x={x}")
+        assert (code, out, err) == (1, "", "error: x must be finite\n")
+
     def test_quantile(self, capsys):
         code, out, _ = run(capsys, "quantile", "--stat", "mean", "--mode",
                            "studentized", "--moments", "gaussian",

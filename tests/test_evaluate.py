@@ -136,10 +136,10 @@ class TestAgainstTheReferenceWalkers:
 
 class TestNfRing:
     def test_transcendental_node_stops_before_its_argument(self):
-        # sqrt(1 - x1) has no normal form (negative leading coefficient), but
-        # Phi of it is transcendental first, so the expr ring takes it
-        reg = KernelRegistry([parse("1 - x1")])
-        e = parse("Phi(sqrt(1 - x1))", reg)
+        # the nested radical sqrt(sqrt(x2) + 1) has no normal form, but Phi
+        # of it is transcendental first, so the expr ring takes it
+        reg = KernelRegistry([parse("sqrt(x2) + 1")])
+        e = parse("Phi(sqrt(sqrt(x2) + 1))", reg)
         with pytest.raises(AlgebraError) as err:
             _to_nf(e.arg)
         assert not isinstance(err.value, TranscendentalResidueError)
