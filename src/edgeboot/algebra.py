@@ -671,8 +671,8 @@ class NormalForm:
         return self.pow(Fraction(k)) * self.sqrt()
 
     def sqrt(self) -> "NormalForm":
-        # sqrt(N/D) = sqrt(N*D)/D over the canonical form, so equal values get
-        # the same radicand.  That needs D > 0, and a monic D may be negative
+        # sqrt(N/D) = sqrt(N*D)/D over the canonical form, so equal quotients
+        # get the same radicand.  That needs D > 0, and a monic D may be negative
         # (x2 - x1^2 becomes x1^2 - x2): unless D is evidently positive, the
         # form is first written (N*D)/D^2, and the root is sqrt(N*D^3)/D^2
         c = self.canonical()
@@ -955,7 +955,7 @@ def sym_compare(a: Expr, b: Expr) -> Comparison:
     deterministic pseudo-random bindings (reported as numeric)."""
     try:
         return Comparison(_to_nf(sub(a, b)).is_zero, "symbolic")
-    except AlgebraError:  # exp/Phi/phi left, or a nested radical
+    except AlgebraError:  # a side with no normal form compares numerically
         pass
     return Comparison(_numeric_agree(a, b), "numeric")
 

@@ -299,21 +299,6 @@ _ONE_RADICAND = ("(x4 - x1^4)/(x2 - x1^2)",
                  "(x4*x2 - x4*x1^2 - x1^4*x2 + x1^6)/(x2^2 - 2*x2*x1^2 + x1^4)")
 
 
-def _exact_value(nf, point):
-    """``nf`` at ``point`` (generator -> Fraction): polynomials exactly, each
-    kernel as the double root of its exact radicand."""
-    def poly(p):
-        total = Fraction(0)
-        for m, c in p.terms.items():
-            term = Fraction(c)
-            for g, k in m:
-                term *= (math.sqrt(poly(MPoly.from_key(g[1]))) if g[0] == 2 else point[g]) ** k
-            total += term
-        return total
-
-    return poly(nf.num) / poly(nf.den)
-
-
 class TestSymEqual:
     def test_mean_p21_expanded_form(self):
         compact = parse("(x^3/24 - x/8)*kappa1 + (-x^3/18 + 5*x/36)*Gamma1^2")
@@ -346,6 +331,15 @@ class TestSymEqual:
         assert (na.num.key(), na.den.key()) == (nb.num.key(), nb.den.key())
         assert sym_compare(a, b) == Comparison(True, "symbolic")
 
+    @pytest.mark.xfail(strict=True, reason="open: the normal form does not know that the "
+                       "registered x2 - x1^2 is positive, so the quotient is rooted over "
+                       "its square (ROADMAP item 12)")
+    def test_root_of_a_quotient_is_the_quotient_of_roots(self):
+        reg = KernelRegistry([parse(r) for r in (_ONE_RADICAND[0], "x4 - x1^4", "x2 - x1^2")])
+        a = parse(f"sqrt({_ONE_RADICAND[0]})", reg)
+        b = parse("sqrt(x4 - x1^4)/sqrt(x2 - x1^2)", reg)
+        assert sym_compare(a, b) == Comparison(True, "symbolic")
+
     def test_sample_sd_kernel_and_cv_normalize(self):
         reg = KernelRegistry([parse("x2 - x1^2")])
         sd = parse("sqrt(x2 - x1^2)", reg)
@@ -370,12 +364,11 @@ class TestSymEqual:
             return "*".join(f"({f})^{k}" for f, k in zip(factors, exps) if k) or "1"
 
         rad = parse(f"({product(up)})/({product(down)})")
-        point = {(0, 1): Fraction(x1), (0, 2): Fraction(x2), (0, 4): Fraction(x4),
-                 (1, "sigma"): Fraction(sigma)}
-        value = _exact_value(normalize(rad), point)
+        b = Bindings({"sigma": sigma}, {1: x1, 2: x2, 4: x4})
+        value = eval_numeric(rad, b)
         assume(value > 0)
         root = normalize(sqrt(rad, KernelRegistry([rad])))
-        assert _exact_value(root, point) == pytest.approx(math.sqrt(value), rel=1e-12)
+        assert eval_numeric(root.to_expr(), b) == pytest.approx(math.sqrt(value), rel=1e-9)
 
     def test_variance_h_squared_matches_quartic(self):
         # auto-derived h^2 for the variance statistic equals the closed quartic
