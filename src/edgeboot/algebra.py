@@ -13,8 +13,9 @@ rational coefficients.  Square roots are adjoined as kernel generators
 ``s`` with the rewrite rule ``s^2 -> radicand``; denominators are kept
 kernel-free (rationalized) and monic under a graded-lexicographic monomial
 order with variables < symbols < kernels.  Radicand canonicalization pulls
-out rational squares, even powers of positive atoms and fourth powers of
-any atom; it does not detect perfect squares of general polynomials.
+out rational squares, even powers of positive atoms (those
+:func:`expr.is_positive_known` accepts) and fourth powers of any atom; it
+does not detect perfect squares of general polynomials.
 
 Expressions still containing ``exp``/``Phi``/``phi`` after substitution do
 not normalize; equality checking for those falls back to comparison at
@@ -40,7 +41,6 @@ from .expr import (
     Mul,
     NormCdf,
     NormPdf,
-    POSITIVE_SYMBOLS,
     Pow,
     Sym,
     Var,
@@ -49,6 +49,7 @@ from .expr import (
     add,
     arity,
     free_symbols,
+    is_positive_known,
     mul,
     neg,
     pow_,
@@ -453,21 +454,6 @@ def _reduce_kernels(m: Monomial, c: Coeff) -> MPoly:
     return out
 
 
-def _gen_is_positive(g: Gen) -> bool:
-    if g[0] == 0:
-        return g[1] % 2 == 0  # even power-mean slots are positive
-    if g[0] == 1:
-        return g[1] in POSITIVE_SYMBOLS
-    return True  # kernels denote the nonnegative root
-
-
-def _evidently_positive(p: MPoly) -> bool:
-    """Whether ``p`` is positive wherever it is nonzero: each term is a
-    positive coefficient times even powers and powers of positive generators."""
-    return all(c > 0 and all(e % 2 == 0 or _gen_is_positive(g) for g, e in m)
-               for m, c in p.terms.items())
-
-
 def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
     """sqrt of a kernel-free polynomial as (coeff, monomial, kernel-monomial).
 
@@ -486,7 +472,7 @@ def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
     # for a positive g, and sqrt(g^4) = g^2 for any g
     extracted: list[tuple[Gen, int]] = []
     for g in sorted(prim.gens()):
-        step = 2 if _gen_is_positive(g) else 4
+        step = 2 if is_positive_known(_gen_to_expr(g)) else 4
         e_min = min(dict(m).get(g, 0) for m in prim.terms)
         if e_min >= step:
             extracted.append((g, e_min // step * step // 2))
@@ -572,8 +558,7 @@ class NormalForm:
         if shared:
             mono = tuple(sorted(shared.items()))
             divisor = MPoly({mono: 1})
-            num = num.divexact(divisor) or num
-            den = den.divexact(divisor) or den
+            num, den = num.divexact(divisor), den.divexact(divisor)
         # monic denominator
         _, lc = den.leading()
         if lc != 1:
@@ -673,11 +658,11 @@ class NormalForm:
     def sqrt(self) -> "NormalForm":
         # sqrt(N/D) = sqrt(N*D)/D over the canonical form, so equal quotients
         # get the same radicand.  That needs D > 0, and a monic D may be negative
-        # (x2 - x1^2 becomes x1^2 - x2): unless D is evidently positive, the
+        # (x2 - x1^2 becomes x1^2 - x2): unless is_positive_known accepts D, the
         # form is first written (N*D)/D^2, and the root is sqrt(N*D^3)/D^2
         c = self.canonical()
         num, den = c.num, c.den
-        if not _evidently_positive(den):
+        if not is_positive_known(_poly_to_expr(den)):
             num, den = num * den, den * den
         coeff, mono, kern = _sqrt_poly(num * den)
         return NormalForm(MPoly({_mono_mul(mono, kern): _norm(coeff)}), den)
@@ -951,10 +936,13 @@ _NUMERIC_EQ_RTOL = 1e-9
 
 
 def sym_compare(a: Expr, b: Expr) -> Comparison:
-    """Symbolic equality when both sides normalize, else agreement at 50
-    deterministic pseudo-random bindings (reported as numeric)."""
+    """Symbolic equality when the difference normalizes to zero; otherwise
+    (the normal forms differ, or a side has none) agreement at 50
+    deterministic pseudo-random bindings, reported as numeric, so "unequal"
+    always has a numeric witness."""
     try:
-        return Comparison(_to_nf(sub(a, b)).is_zero, "symbolic")
+        if _to_nf(sub(a, b)).is_zero:
+            return Comparison(True, "symbolic")
     except AlgebraError:  # a side with no normal form compares numerically
         pass
     return Comparison(_numeric_agree(a, b), "numeric")
@@ -975,13 +963,13 @@ def _draw_bindings(names: list[str], d: int, rng: np.random.Generator) -> Bindin
     for name in names:
         if name == "pi":
             continue  # reserved constant, bound automatically
-        if name in POSITIVE_SYMBOLS:
+        if is_positive_known(Sym(name)):
             syms[name] = float(rng.uniform(0.5, 2.0))
         else:
             syms[name] = float(rng.uniform(-2.0, 2.0))
     vars_ = {}
     for i in range(1, d + 1):
-        if i % 2 == 0:
+        if is_positive_known(Var(i)):
             vars_[i] = float(rng.uniform(0.5, 3.0))
         else:
             vars_[i] = float(rng.uniform(-1.5, 1.5))

@@ -48,11 +48,8 @@ class UnsupportedExponentError(ExprError):
 # Symbols with fixed semantics.  ``mu`` is the mean, ``sigma`` the scale,
 # ``Gamma1`` the skewness, ``kappa1`` the excess kurtosis, ``mu5``... the
 # higher standardized central moments, ``lambda`` an acceptance limit and
-# ``pi`` the circle constant (used by the normal density's normalizer).
+# ``pi`` the circle constant.  The scale, the limit and pi are positive.
 POSITIVE_SYMBOLS = frozenset({"sigma", "pi", "lambda"})
-RESERVED_SYMBOLS = frozenset(
-    {"mu", "sigma", "Gamma1", "kappa1", "lambda", "pi"}
-)
 
 _FUNCTIONS = ("exp", "sqrt", "Phi", "phi")
 
@@ -230,7 +227,8 @@ DEFAULT_KERNELS = KernelRegistry()
 
 
 def is_positive_known(e: Expr, kernels: KernelRegistry | None = None) -> bool:
-    """Syntactic positivity check backing half-integer power construction."""
+    """The one syntactic positivity rule: half-integer powers, normal-form
+    square roots and numeric test points (``algebra``) all ask it."""
     kernels = kernels or DEFAULT_KERNELS
     if kernels.contains(e):
         return True

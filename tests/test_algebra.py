@@ -45,6 +45,7 @@ from edgeboot.expr import (
     neg,
     parse,
     pow_,
+    pretty_print,
     sqrt,
     sub,
 )
@@ -330,6 +331,25 @@ class TestSymEqual:
         na, nb = normalize(a), normalize(b)
         assert (na.num.key(), na.den.key()) == (nb.num.key(), nb.den.key())
         assert sym_compare(a, b) == Comparison(True, "symbolic")
+
+    def test_root_over_the_registered_kappa1_plus_2_roots_alike(self):
+        # the default registry makes kappa1 + 2 positive, so the quotient is
+        # rooted over kappa1 + 2 itself, as the quotient of roots merges to
+        a = parse("sqrt(sigma/(kappa1 + 2))")
+        b = parse("sqrt(sigma)/sqrt(kappa1 + 2)")
+        na, nb = normalize(a), normalize(b)
+        assert (na.num.key(), na.den.key()) == (nb.num.key(), nb.den.key())
+        assert pretty_print(na.to_expr()) == "sqrt(kappa1*sigma + 2*sigma)/(kappa1 + 2)"
+        assert sym_compare(a, b) == Comparison(True, "symbolic")
+
+    def test_equal_values_with_different_normal_forms_compare_numerically(self):
+        # the square factor stays under the root (ROADMAP item 12), so the
+        # normal forms differ, but the verdict is not "unequal"
+        assert sym_compare(parse("sqrt((1 + x2)^2*(x2 + 3))"),
+                           parse("(1 + x2)*sqrt(x2 + 3)")) == Comparison(True, "numeric")
+
+    def test_unequal_values_have_a_numeric_witness(self):
+        assert sym_compare(parse("x1 + x2"), parse("x1 + 2*x2")) == Comparison(False, "numeric")
 
     @pytest.mark.xfail(strict=True, reason="open: the normal form does not know that the "
                        "registered x2 - x1^2 is positive, so the quotient is rooted over "
