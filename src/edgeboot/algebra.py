@@ -238,19 +238,6 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted((g, e) for g, e in d.items() if e != 0))
 
 
-def _mono_div(m1: Monomial, m2: Monomial) -> Monomial | None:
-    d = dict(m1)
-    for g, e in m2:
-        r = d.get(g, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            d.pop(g, None)
-        else:
-            d[g] = r
-    return tuple(sorted(d.items()))
-
-
 class MPoly:
     """Sparse multivariate polynomial with rational coefficients.
 
@@ -263,9 +250,9 @@ class MPoly:
     A product accumulates its term products into one dict, so it costs one
     pass over the |a|*|b| term pairs.  Those with a squared or a second
     kernel are grouped by their kernel part, and each group goes through
-    :func:`_reduce_kernels` once.  Division by a monomial is termwise; any
-    other division, and every gcd, runs in sympy's sparse ring
-    (:func:`_in_ring`).
+    :func:`_reduce_kernels` once.  The one division, by a monomial that
+    every term contains, is :meth:`mono_scale` over its negated exponents;
+    the gcd runs in sympy's sparse ring (:func:`_cofactors`).
     """
 
     __slots__ = ("terms",)
@@ -396,31 +383,6 @@ class MPoly:
             den = den * c.denominator // math.gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def divexact(self, g: "MPoly") -> "MPoly | None":
-        """Exact quotient self/g, or None when g does not divide self.
-
-        A one-term divisor divides termwise, in time linear in ``self``; any
-        other divisor goes through sympy's ``PolyElement.div``, with kernels
-        as plain generators, and divides exactly when the remainder is zero.
-        """
-        if g.is_zero:
-            raise AlgebraError("division by zero polynomial")
-        if self.is_zero:
-            return MPoly()
-        if len(g.terms) == 1:
-            (gm, gc), = g.terms.items()
-            inv = _norm(1 / Fraction(gc))
-            q: dict[Monomial, Coeff] = {}
-            for m, c in self.terms.items():
-                mq = _mono_div(m, gm)
-                if mq is None:
-                    return None
-                q[mq] = _norm(c * inv)
-            return MPoly(q)
-        (f, h), back = _in_ring([self, g])
-        q, r = f.div(h)
-        return None if r else back(q)
-
     def has_kernels(self) -> bool:
         return any(g[0] == 2 for m in self.terms for g, _ in m)
 
@@ -477,10 +439,7 @@ def _sqrt_poly(p: MPoly) -> tuple[Fraction, Monomial, Monomial]:
         if e_min >= step:
             extracted.append((g, e_min // step * step // 2))
     if extracted:
-        divisor = MPoly({tuple((g, 2 * h) for g, h in extracted): 1})
-        q = prim.divexact(divisor)
-        assert q is not None
-        prim = q
+        prim = prim.mono_scale(tuple((g, -2 * h) for g, h in extracted), 1)
     mono = tuple(extracted)
     radicand = prim.scale(rad_const)
     if radicand == MPoly.constant(1):
@@ -500,7 +459,7 @@ class NormalForm:
     """Fraction of multivariate polynomials, kernel-free monic denominator.
 
     Arithmetic keeps forms lightly reduced (content/monomial cancellation,
-    denominator-divisibility detection); :meth:`canonical` additionally
+    sums over the lcm of the denominators); :meth:`canonical` additionally
     cancels the full polynomial gcd so that equal expressions have identical
     normal forms.
     """
@@ -556,9 +515,8 @@ class NormalForm:
                 if not shared:
                     break
         if shared:
-            mono = tuple(sorted(shared.items()))
-            divisor = MPoly({mono: 1})
-            num, den = num.divexact(divisor), den.divexact(divisor)
+            inverse = tuple(sorted((g, -e) for g, e in shared.items()))
+            num, den = num.mono_scale(inverse, 1), den.mono_scale(inverse, 1)
         # monic denominator
         _, lc = den.leading()
         if lc != 1:
@@ -567,22 +525,13 @@ class NormalForm:
         self.num, self.den = num, den
 
     def canonical(self) -> "NormalForm":
-        """Fully cancelled form: ``num`` and ``den`` over their gcd.
-
-        ``PolyElement.cofactors`` returns the gcd with both quotients.
-        Kernels are plain generators there, which is enough because ``den``
-        has none: a factor of ``den`` divides ``num`` exactly when it
-        divides every kernel part of ``num``.
-        """
+        """Fully cancelled form: ``num`` and ``den`` over their gcd, from
+        :func:`_cofactors`."""
         if self.num.is_zero:
             return NormalForm(MPoly(), MPoly.constant(1), reduce=False)
         if self.den.terms == _UNIT:
             return self
-        (num, den), back = _in_ring([self.num, self.den])
-        g, qn, qd = num.cofactors(den)
-        if g.is_ground:
-            return NormalForm(self.num, self.den)
-        return NormalForm(back(qn), back(qd))
+        return NormalForm(*_cofactors(self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
@@ -603,16 +552,10 @@ class NormalForm:
         other = _as_nf(other)
         if self.den == other.den:
             return NormalForm(self.num + other.num, self.den)
-        q = other.den.divexact(self.den)
-        if q is not None:
-            return NormalForm(self.num * q + other.num, other.den)
-        q = self.den.divexact(other.den)
-        if q is not None:
-            return NormalForm(self.num + other.num * q, self.den)
-        # neither divides the other: sum over their lcm, self.den * (other.den / gcd)
-        (da, db), back = _in_ring([self.den, other.den])
-        _, qa, qb = da.cofactors(db)
-        qa, qb = back(qa), back(qb)
+        if self.den.terms == _UNIT or other.den.terms == _UNIT:  # the product is the lcm
+            return NormalForm(self.num * other.den + other.num * self.den, self.den * other.den)
+        # over the lcm, self.den * (other.den / g) for g = gcd(self.den, other.den)
+        qa, qb = _cofactors(self.den, other.den)
         return NormalForm(self.num * qb + other.num * qa, self.den * qb)
 
     __radd__ = __add__
@@ -702,27 +645,25 @@ def _rationalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     return num2, den2
 
 
-# -- sympy's sparse ring: gcd and multi-term division ------------------------
+# -- sympy's sparse ring: the gcd ---------------------------------------------
 
 @lru_cache(maxsize=None)
 def _sparse_ring(n: int):
-    """sympy's sparse polynomial ring over QQ in ``n`` generators, built once
+    """sympy's sparse polynomial ring over ZZ in ``n`` generators, built once
     per count: every caller maps its own generators onto g0..g{n-1}."""
-    from sympy import QQ
+    from sympy import ZZ
     from sympy.polys.rings import ring
 
-    return ring(",".join(f"g{i}" for i in range(n)), QQ)[0]
+    return ring(",".join(f"g{i}" for i in range(n)), ZZ)[0]
 
 
 def _in_ring(polys: list[MPoly]):
-    """``polys`` as elements of one sympy sparse ring over QQ, and the map
-    back to MPoly.
+    """``polys``, each with integer coefficients, as elements of one sympy
+    sparse ring over ZZ, and the map back to MPoly.
 
     The ring has one generator per distinct MPoly generator, kernels
     included, so there is no expression layer; ``polys`` must have at least
     one generator between them."""
-    from sympy import QQ
-
     gens = sorted({g for p in polys for g in p.gens()})
     R = _sparse_ring(len(gens))
     index = {g: i for i, g in enumerate(gens)}
@@ -734,17 +675,30 @@ def _in_ring(polys: list[MPoly]):
             exps = zeros.copy()
             for g, e in m:
                 exps[index[g]] = e
-            terms[tuple(exps)] = QQ(c.numerator, c.denominator)
+            terms[tuple(exps)] = c
         return R.from_dict(terms)
 
     def back(f) -> MPoly:
         return MPoly({
-            tuple((g, e) for g, e in zip(gens, exps) if e):
-                _norm(Fraction(int(c.numerator), int(c.denominator)))
+            tuple((g, e) for g, e in zip(gens, exps) if e): int(c)
             for exps, c in f.terms()
         })
 
     return [to_ring(p) for p in polys], back
+
+
+def _cofactors(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly]:
+    """``(a/g, b/g)`` for ``g = gcd(a, b)`` from one ``PolyElement.cofactors`` call
+    over the primitive parts, the rational contents kept outside, or ``(a, b)`` when
+    ``g`` is a constant.  Kernels are plain generators there, which is enough while
+    ``b`` has none: a factor of ``b`` divides ``a`` exactly when it divides every
+    kernel part of ``a``."""
+    ca, cb = a.content(), b.content()
+    (ra, rb), back = _in_ring([a.scale(1 / ca), b.scale(1 / cb)])
+    g, qa, qb = ra.cofactors(rb)
+    if g.is_ground:
+        return a, b
+    return back(qa).scale(ca), back(qb).scale(cb)
 
 
 def _poly_to_expr(p: MPoly) -> Expr:

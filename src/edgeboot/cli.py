@@ -221,7 +221,7 @@ def _run_setting(args, cfg: FullConfig, name: str, limit: float | None = None):
 
 
 def _cmd_mc(args) -> int:
-    from .harness import MAX_REPS, McConfig, check_drawable
+    from .harness import MAX_N, MAX_REPS, McConfig, check_drawable
 
     model, cfg = _build_model(args)
     # the draws come from the moment spec, checked before the expansion (which
@@ -233,7 +233,7 @@ def _cmd_mc(args) -> int:
     _, p1, p2, _, _ = _polys(model)
     grid = parse_grid(_run_setting(args, cfg, "grid"))
     mc = McConfig(
-        n=_run_setting(args, cfg, "n"),
+        n=_run_setting(args, cfg, "n", MAX_N),
         reps=_run_setting(args, cfg, "reps", MAX_REPS),
         grid=grid,
         seed=args.seed,

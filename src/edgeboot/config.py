@@ -6,8 +6,9 @@ and any further keys as numeric statistic parameters (e.g. ``lambda = 1.0``),
 each a symbol of g; ``[moments]`` as consumed by
 :func:`edgeboot.moments.spec_from_config`; ``[run]`` with n, reps, grid,
 B, alpha.  ``[moments]`` and ``[run]`` keys are case-insensitive, and
-an unknown or repeated key is an error.
-A malformed number is an error that names its section and key.
+an unknown or repeated key is an error, as is a malformed line, which the
+error names.  ``%`` is a plain character.  A malformed number, or one
+outside the double range, is an error that names its section and key.
 
 Built-in presets (mean, variance, ml_symmetric, ml_general) ship with the
 package and can be referenced by name instead of a path.
@@ -86,9 +87,12 @@ def _section(cp: configparser.ConfigParser, name: str,
 
 
 def load_config(path_or_name: str) -> FullConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # "5% trimmed" is read as written
     cp.optionxform = str  # keep the case of parameters such as U and L
-    cp.read_string(_resolve(path_or_name))
+    try:
+        cp.read_string(_resolve(path_or_name), source=path_or_name)
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigError(" ".join(str(exc).split())) from None
     if "statistic" not in cp:
         raise ConfigError("config needs a [statistic] section")
     st = cp["statistic"]

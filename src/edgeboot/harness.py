@@ -41,6 +41,7 @@ _EVAL_ROWS = 16384  # per evaluation slice: a multiple of 8, so no SIMD lane off
 MAX_GRID_POINTS = 100_000  # each point costs a CSV row and four expansion evaluations
 # every kept rep is held once, 8 B each: 0.4 GB at the cap
 MAX_REPS = 50_000_000
+MAX_N = _BLOCK_BYTES // 8  # a sample of n draws is one row of a row block
 MAX_WORKERS = 4
 
 CSV_HEADER = "x,empirical,normal,edge1,edge2,edge1_rearranged,edge2_rearranged"
@@ -64,6 +65,8 @@ class McConfig:
             raise HarnessError(f"reps {self.reps} is more than the limit of {MAX_REPS}")
         if self.n < 2:
             raise HarnessError("n must be >= 2")
+        if self.n > MAX_N:
+            raise HarnessError(f"n {self.n} is more than the limit of {MAX_N}")
         _check_grid_size(len(self.grid), "grid")
         if not np.all(np.diff(self.grid) > 0):
             raise HarnessError("grid must be strictly increasing")
@@ -79,7 +82,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise HarnessError(f"bad grid spec {text!r}: want start:stop:step") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop <= start:
         raise HarnessError(f"bad grid spec {text!r}")
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    count = (stop - start) / step + 1e-9
+    if math.isinf(count):  # too many points to count in a double, and no floor
+        raise HarnessError(f"grid {text!r} has more points than the limit of {MAX_GRID_POINTS}")
+    count = math.floor(count) + 1
     _check_grid_size(count, f"grid {text!r}")
     return tuple(start + k * step for k in range(count))
 

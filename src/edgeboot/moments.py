@@ -232,12 +232,15 @@ SCALE_KEYS = {"gaussian": ("mu", "sigma"), "custom": ("mu", "sigma"), "exponenti
 
 def parse_number(text: str, place: str, convert=lambda t: float(Fraction(t))):
     """``convert(text)``: by default ``text`` read as an exact rational and
-    rounded to a double.  A malformed number is a ValueError naming ``place``."""
+    rounded to a double.  A malformed number, or one outside the double range,
+    is a ValueError naming ``place``."""
     try:
         return convert(text)
     except (ValueError, ZeroDivisionError):
         kind = "an integer" if convert is int else "a number"
         raise ValueError(f"{place}: {text!r} is not {kind}") from None
+    except OverflowError:
+        raise ValueError(f"{place}: {text!r} is outside the double range") from None
 
 
 def spec_from_config(section: Mapping[str, str], K: int) -> MomentSpec:

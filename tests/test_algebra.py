@@ -18,7 +18,6 @@ from edgeboot.algebra import (
     MPoly,
     NormalForm,
     TranscendentalResidueError,
-    _mono_div,
     _mono_mul,
     _norm,
     _reduce_kernels,
@@ -502,43 +501,6 @@ class TestMPolyArithmetic:
         x, y = MPoly.gen(x_gen), MPoly.gen(y_gen)
         assert ((x + y) * (x - y)).terms == {((x_gen, 2),): 1, ((y_gen, 2),): -1}
 
-    @given(_poly_pairs(_PLAIN_GENS, q_terms=(1, 1)))
-    @settings(max_examples=150, deadline=None)
-    def test_divexact_by_monomial_inverts_product(self, pq):
-        p, q = pq
-        assert (p * q).divexact(q) == p
-
-    @given(_poly_pairs(_PLAIN_GENS, q_terms=(2, 4)))
-    @settings(max_examples=100, deadline=None)
-    def test_divexact_by_polynomial_finds_every_exact_quotient(self, pq):
-        p, q = pq
-        assert (p * q).divexact(q) == p
-
-    def test_divexact_by_polynomial_inverts_product(self):
-        # x2 > x1 but x1*x1 > x1*x2 under _mono_key, which once made the long
-        # division miss this quotient
-        x1, x2 = MPoly.gen((0, 1)), MPoly.gen((0, 2))
-        assert (x1 * (x1 + x2)).divexact(x1 + x2) == x1
-
-    def test_divexact_by_polynomial_rejects_a_non_divisor(self):
-        x1, x2 = MPoly.gen((0, 1)), MPoly.gen((0, 2))
-        assert (x1 * x1 + x2).divexact(x1 + x2) is None
-
-    @given(_poly_pairs(_PLAIN_GENS + _KERNEL_GENS, q_terms=(1, 1)))
-    @settings(max_examples=150, deadline=None)
-    def test_divexact_by_monomial_none_iff_a_term_lacks_it(self, pq):
-        p, q = pq
-        (qm, _), = q.terms.items()
-
-        def holds(m):
-            have = dict(m)
-            return all(have.get(g, 0) >= e for g, e in qm)
-
-        got = p.divexact(q)
-        assert (got is None) == (not all(holds(m) for m in p.terms))
-        if got is not None:
-            assert got.mono_scale(qm, q.terms[qm]) == p
-
     @given(st.dictionaries(_monomials(_PLAIN_GENS), _coeffs.map(abs), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_kernel_squared_is_its_radicand(self, terms):
@@ -652,8 +614,6 @@ class TestCoefficientInvariant:
             lambda p, q: p * q,
             lambda p, q: p.scale(c),
             lambda p, q: p ** n,
-            lambda p, q: (p * q).divexact(q) if not q.is_zero else p,
-            lambda p, q: p.divexact(q) if not q.is_zero else p,
         ]
         for op in ops:
             got, want = _both(op, p, q)
@@ -748,11 +708,25 @@ def _expression_gcd_many(polys: list[MPoly]):
     return out
 
 
+def _mono_div(m1, m2):
+    """The monomial m1/m2, or None when m2 does not divide m1."""
+    d = dict(m1)
+    for g, e in m2:
+        r = d.get(g, 0) - e
+        if r < 0:
+            return None
+        if r == 0:
+            d.pop(g, None)
+        else:
+            d[g] = r
+    return tuple(sorted(d.items()))
+
+
 def _long_division(p: MPoly, g: MPoly):
-    """``MPoly.divexact`` by a multi-term divisor as it was before it moved to
-    sympy's sparse ring: long division on the leading terms under a graded
-    order (then lex from the largest generator), kernels as plain generators;
-    None at the first leading term that the divisor's does not divide."""
+    """Exact division by a multi-term divisor as the package once did it:
+    long division on the leading terms under a graded order (then lex from
+    the largest generator), kernels as plain generators; None at the first
+    leading term that the divisor's does not divide."""
     def grlex(m):
         return (sum(e for _, e in m), tuple(reversed(m)))
 
@@ -850,38 +824,30 @@ class TestGcd:
 
 
 class TestSumOverTheLcm:
-    def test_neither_denominator_divides_the_other(self):
-        # the shared factor x1 + x2 is kept once: the sum is over the lcm of
-        # the denominators, not their product, so it is already canonical
+    # the sum is over the lcm of the denominators, not their product, so it
+    # is already canonical
+    @pytest.mark.parametrize("a, b, den", [
+        # neither denominator divides the other: the shared x1 + x2 is kept once
+        ("1/((x1 + x2)*(x1 + sigma))", "1/((x1 + x2)*(x2 + sigma))",
+         "(x1 + x2)*(x1 + sigma)*(x2 + sigma)"),
+        # one denominator divides the other, in either order
+        ("1/(x1 + x2)", "1/((x1 + x2)*(x1 + sigma))", "(x1 + x2)*(x1 + sigma)"),
+        ("1/((x1 + x2)*(x1 + sigma))", "1/(x1 + x2)", "(x1 + x2)*(x1 + sigma)"),
+        # a divisor with a content of its own
+        ("1/(2*x1 + 6*sigma)", "1/(x1 + 3*sigma)^2", "(x1 + 3*sigma)^2"),
+        # a unit denominator on either side
+        ("x1 + sigma", "1/(x2 + sigma)", "x2 + sigma"),
+        ("1/(x2 + sigma)", "x1 + sigma", "x2 + sigma"),
+    ])
+    def test_sum_is_already_canonical(self, a, b, den):
         def nf(text):
             return algebra._to_nf(parse(text))
 
-        got = nf("1/((x1 + x2)*(x1 + sigma))") + nf("1/((x1 + x2)*(x2 + sigma))")
-        assert max(sum(e for _, e in m) for m in got.den.terms) == 3
-        assert got.den == nf("(x1 + x2)*(x1 + sigma)*(x2 + sigma)").num
+        got = nf(a) + nf(b)
+        want = nf(den).num
+        assert got.den == want.scale(1 / want.leading()[1])
         canonical = got.canonical()
         assert got.num == canonical.num and got.den == canonical.den
-
-
-class TestMultiTermDivision:
-    @given(_poly_pairs(_PLAIN_GENS + _KERNEL_GENS, q_terms=(2, 4)), st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_long_division(self, pq, exact):
-        p, q = pq
-        dividend = p * q if exact else p
-        got, want = dividend.divexact(q), _long_division(dividend, q)
-        assert (got is None) == (want is None)
-        if got is not None:
-            _assert_invariant(got)
-            assert got == want
-
-    def test_non_divisor_gives_none_like_long_division(self):
-        x1, x2, sigma = MPoly.gen((0, 1)), MPoly.gen((0, 2)), MPoly.gen((1, "sigma"))
-        s1 = MPoly.gen(_KERNEL_GENS[0])
-        for p, q in [(x1 * x1 + x2, x1 + x2), (x1 * s1 + sigma, x1 + sigma),
-                     ((x1 + x2) * (x1 + sigma) + MPoly.constant(1), x1 + sigma)]:
-            assert _long_division(p, q) is None
-            assert p.divexact(q) is None
 
 
 class TestSparseRing:

@@ -224,6 +224,31 @@ class TestMc:
         assert (code, out) == (1, "")
         assert err == "error: [run] reps 50000001 is more than the limit of 50000000\n"
 
+    def test_grid_past_the_doubles_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "mc", "--stat", "mean", "--moments", "gaussian",
+                             "--grid", "0:1e308:1e-308", "--seed", "1",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == ("error: grid '0:1e308:1e-308' has more points than the limit "
+                       "of 100000\n")
+
+    def test_n_over_the_cap_fails_before_drawing(self, capsys, tmp_path, monkeypatch):
+        _no_draws(monkeypatch, harness, "_draw")
+        code, out, err = run(capsys, "mc", "--stat", "mean", "--moments", "gaussian",
+                             "--n", "65537", "--reps", "10", "--grid", "-2:2:1",
+                             "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: --n 65537 is more than the limit of 65536\n"
+
+    def test_n_over_the_cap_from_the_config_names_its_key(self, capsys, tmp_path,
+                                                          monkeypatch):
+        _no_draws(monkeypatch, harness, "_draw")
+        cfg = _with_run(tmp_path, "n = 65537")
+        code, out, err = run(capsys, "mc", "--stat", str(cfg), "--moments", "gaussian",
+                             "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: [run] n 65537 is more than the limit of 65536\n"
+
     def test_run_section_sets_n_reps_and_grid(self, capsys, tmp_path):
         cfg = _with_run(tmp_path, "n = 5\nreps = 500\ngrid = -2:2:1")
         flags = ("--n", "5", "--reps", "500", "--grid", "-2:2:1")
@@ -644,6 +669,16 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: raw moment of order 2 overflows a double\n"
 
+    @pytest.mark.parametrize("argv, want", [
+        (["expand", "--stat", "mean", "--moments", "gaussian", "--mu", "1e400"],
+         "--mu: '1e400' is outside the double range"),
+        (["accel", "--stat", "ml_symmetric", "--lambda", "1e999"],
+         "--lambda: '1e999' is outside the double range"),
+    ])
+    def test_number_outside_the_doubles_names_its_flag(self, capsys, argv, want):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {want}\n")
+
     def test_a_huge_mean_expands(self, capsys):
         # the moments are taken about the mean, so mu itself is never raised to a power
         code, out, err = run(capsys, "expand", "--stat", "mean", "--moments", "gaussian",
@@ -754,6 +789,30 @@ class TestConfigInput:
         code, out, err = run(capsys, "expand", "--stat", cfg)
         assert (code, out, err) == (1, "", "error: [run] key 'B' given twice\n")
 
+    # a malformed file is one error line that names the file and the line
+    @pytest.mark.parametrize("text, want", [
+        ("[statistic]\ng = x1\ng = x2\n",
+         "[line 3]: option 'g' in section 'statistic' already exists"),
+        ("g = x1\n", "File contains no section headers. file: '{cfg}', line: 1"),
+        ("[statistic]\ng = x1\n[moments]\ndistribution = gaussian\n[moments]\nmu = 1\n",
+         "[line 5]: section 'moments' already exists"),
+        ("[statistic]\ng = x1\nabc\n", "[line 3]: 'abc\\n'"),
+    ], ids=["repeated key", "no section header", "repeated section", "line without ="])
+    def test_malformed_file_is_one_error_line(self, capsys, tmp_path, text, want):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "expand", "--stat", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{cfg}'" in err and want.format(cfg=cfg) in err
+
+    def test_percent_sign_is_a_plain_character(self, capsys, tmp_path):
+        # it once started a %-interpolation, and a lone % was a traceback
+        cfg = _config(tmp_path, statistic="name = 5% trimmed\ng = x1\n")
+        assert load_config(cfg).statistic.name == "5% trimmed"
+        code, _, err = run(capsys, "expand", "--stat", cfg)
+        assert (code, err) == (0, "")
+
     def test_symbolic_override_keeps_mu_and_sigma(self, capsys):
         code, out, err = run(capsys, "accel", "--stat", "ml_symmetric", "--moments", "symbolic")
         assert (code, err) == (0, "")
@@ -772,6 +831,8 @@ class TestConfigInput:
          "[moments] mu: '1/x' is not a number"),
         ({"moments": "distribution = custom\nmoments = 0, zero\n"},
          "[moments] moments: 'zero' is not a number"),
+        ({"moments": "distribution = gaussian\nmu = 1e400\n"},
+         "[moments] mu: '1e400' is outside the double range"),
     ])
     def test_bad_number_names_its_place(self, capsys, tmp_path, part, want):
         code, out, err = run(capsys, "expand", "--stat", _config(tmp_path, **part))

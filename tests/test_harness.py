@@ -57,7 +57,9 @@ class TestParseGrid:
             parse_grid("0:0.4:1")
 
     def test_bad_specs(self):
-        for bad in ("1:2", "2:1:0.1", "0:1:-1", "a:b:c", "0:inf:1", "nan:1:0.1"):
+        # the last two count an infinite number of points in a double
+        for bad in ("1:2", "2:1:0.1", "0:1:-1", "a:b:c", "0:inf:1", "nan:1:0.1",
+                    "0:1e308:1e-308", "-1e308:1e308:1"):
             with pytest.raises(HarnessError):
                 parse_grid(bad)
 
@@ -97,6 +99,17 @@ class TestGridLimit:
         err = capsys.readouterr().err
         assert "6000000001 points" in err and "limit of 100000" in err
         assert not out_file.exists()
+
+
+class TestSampleSizeLimit:
+    # a sample of n draws is one row of a 512 KiB row block: n <= 65,536
+    def test_limit_itself_is_allowed(self):
+        assert harness.MAX_N == 65_536
+        assert McConfig(n=65_536, reps=10, grid=(0.0, 1.0), seed=1).n == 65_536
+
+    def test_one_above_the_limit_is_rejected(self):
+        with pytest.raises(HarnessError, match="n 65537 is more than the limit of 65536"):
+            McConfig(n=65_537, reps=10, grid=(0.0, 1.0), seed=1)
 
 
 class TestSimulate:
